@@ -4,11 +4,21 @@ Subcommands: verify (identity sweeps), solve (power-sum system solution two
 ways), det (determinant routes side by side), stirling (partition-number
 table with verification column), bench (closed form vs elimination timing).
 
-Exit codes: 0 all checks passed, 1 at least one identity or agreement
-failure (or a singular system where a solution was required), 2 usage error
-(argparse raises SystemExit(2) itself).  Documents go to --output when
-given, stdout otherwise; every rational inside json or csv output uses the
-canonical "p/q" form so it parses back with parse_rational.
+Each command computes once and returns a record, its csv rows and lazy text
+lines; main renders the chosen format in one place (the json encoder and
+the csv path format every Fraction, the text lines arrive formatted).
+Documents go to --output when given, stdout otherwise; every rational
+inside json or csv output uses the canonical "p/q" form so it parses back
+with parse_rational.
+
+Exit codes:
+  0  all checks passed;
+  1  at least one identity or agreement failure, or a singular system
+     where a solution was required;
+  2  usage error (argparse raises SystemExit(2) itself), or an --output
+     path that cannot be written (one line on stderr).
+A reader that closes stdout early (``| head``) ends the run quietly with the
+command's own exit code.
 """
 
 from __future__ import annotations
@@ -17,15 +27,15 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import re
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .boole_identity import (
     CaseResult,
@@ -57,21 +67,8 @@ _COMPONENT_BOUND = 9
 
 _NEGATIVE_RATIONAL = re.compile(r"-\d+(?:/\d+)?$")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved flag values; each command reads only the fields it documents."""
-
-    command: str
-    a: Rational = Fraction(0)
-    b: Rational = Fraction(1)
-    n: int = 0
-    n_max: int = 0
-    m_max: int = 0
-    seed: int = 0
-    trials: int = 0
-    output_path: str | None = None
-    format: str = "text"
+# What every command returns: (exit code, json record, csv rows, text lines).
+Outcome = tuple[int, dict, list[dict] | None, Iterable[str]]
 
 
 def random_rational(rng: random.Random) -> Rational:
@@ -215,19 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_namespace(namespace: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=namespace.command,
-        a=getattr(namespace, "a", Fraction(0)),
-        b=getattr(namespace, "b", Fraction(1)),
-        n=getattr(namespace, "n", 0),
-        n_max=getattr(namespace, "n_max", 0),
-        m_max=getattr(namespace, "m_max", 0),
-        seed=getattr(namespace, "seed", 0),
-        trials=getattr(namespace, "trials", 0),
-        output_path=getattr(namespace, "output", None),
-        format=getattr(namespace, "format", "text"),
-    )
 
 
 def _frac(value: Rational) -> str:
@@ -242,279 +226,196 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _csv_document(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def _ok(value: bool) -> str:
+    return "ok" if value else "FAIL"
+
+
+def _agreement(value: bool) -> str:
+    return "agreement: " + ("yes" if value else "NO")
+
+
+def _csv_cell(value: object) -> object:
+    if isinstance(value, bool):
+        return _flag(value)
+    return _frac(value) if isinstance(value, Fraction) else value
+
+
+def _csv_document(rows: Sequence[dict]) -> str:
+    """Header from the first row's keys, then one line per row (no command has zero rows)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(rows[0])
+    writer.writerows([_csv_cell(value) for value in row.values()] for row in rows)
     return buffer.getvalue().rstrip("\n")
 
 
-def _case_record(result: CaseResult) -> dict:
-    case = result.case
-    return {
-        "n": case.n,
-        "m": case.m,
-        "a": _frac(case.a),
-        "b": _frac(case.b),
-        "lhs": _frac(result.lhs),
-        "rhs": _frac(result.rhs),
-        "pass": result.passed,
-    }
-
-
-def cmd_verify(config: RunConfig) -> tuple[int, str]:
+def cmd_verify(args: argparse.Namespace) -> Outcome:
     """Sweep the generalized identity for the fixed pair plus seeded trials.
 
     Cramer component checks (per pair with nonzero b, at order n_max) and the
     Stirling grid run as gates: when they pass they only add summary notes,
     when they fail their failing cases join the report and force exit 1.
     """
-    pairs = [(config.a, config.b)] + seeded_parameter_pairs(config.seed, config.trials)
+    pairs = [(args.a, args.b)] + seeded_parameter_pairs(args.seed, args.trials)
     cases: list[CaseResult] = []
-    rows_checked = 0
-    rows_skipped = 0
     for a, b in pairs:
-        report = verify_generalized_boole(a, b, config.n_max)
-        cases.extend(report.results)
-        if b == 0:
-            rows_skipped += 1
-        else:
-            rows_checked += 1
+        cases.extend(verify_generalized_boole(a, b, args.n_max).results)
+    rows_skipped = sum(1 for _, b in pairs if b == 0)
+    rows_checked = len(pairs) - rows_skipped
     cramer_passed = 0
     for a, b in pairs:
-        if b == 0:
-            continue
-        component_report = verify_cramer(a, b, config.n_max)
-        if component_report.ok:
-            cramer_passed += 1
-        else:
+        if b != 0:
+            component_report = verify_cramer(a, b, args.n_max)
+            cramer_passed += component_report.ok
             cases.extend(r for r in component_report.results if not r.passed)
-    stirling_report = verify_stirling(config.m_max, config.n_max)
-    if not stirling_report.ok:
-        cases.extend(r for r in stirling_report.results if not r.passed)
+    stirling_report = verify_stirling(args.m_max, args.n_max)
+    cases.extend(r for r in stirling_report.results if not r.passed)
     notes = (
         f"system rows substituted for {rows_checked} pair(s), "
         f"skipped for {rows_skipped} pair(s) with b = 0",
         f"cramer component checks passed for {cramer_passed} of {rows_checked} "
-        f"pair(s) at n = {config.n_max}",
-        f"stirling grid m <= {config.m_max}, n <= {config.n_max}: "
+        f"pair(s) at n = {args.n_max}",
+        f"stirling grid m <= {args.m_max}, n <= {args.n_max}: "
         + ("ok" if stirling_report.ok else "FAILED"),
     )
     failures = sum(1 for result in cases if not result.passed)
-    code = EXIT_OK if failures == 0 else EXIT_FAILURE
+    rows = [
+        {"n": r.case.n, "m": r.case.m, "a": r.case.a, "b": r.case.b,
+         "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed}
+        for r in cases
+    ]
+    record = {
+        "command": "verify",
+        "params": {"a": args.a, "b": args.b, "n_max": args.n_max, "seed": args.seed},
+        "cases": rows,
+        "summary": {"total": len(cases), "failures": failures},
+    }
 
-    if config.format == "json":
-        document = json.dumps(
-            {
-                "command": "verify",
-                "params": {
-                    "a": _frac(config.a),
-                    "b": _frac(config.b),
-                    "n_max": config.n_max,
-                    "seed": config.seed,
-                },
-                "cases": [_case_record(result) for result in cases],
-                "summary": {"total": len(cases), "failures": failures},
-            },
-            indent=2,
-        )
-    elif config.format == "csv":
-        document = _csv_document(
-            ("n", "m", "a", "b", "lhs", "rhs", "pass"),
-            [
-                (
-                    result.case.n,
-                    result.case.m,
-                    _frac(result.case.a),
-                    _frac(result.case.b),
-                    _frac(result.lhs),
-                    _frac(result.rhs),
-                    _flag(result.passed),
-                )
-                for result in cases
-            ],
-        )
-    else:
-        lines = [
-            f"verify sweep: a={_plain(config.a)} b={_plain(config.b)} "
-            f"n_max={config.n_max} trials={config.trials} seed={config.seed}"
-        ]
-        for result in cases:
-            case = result.case
-            lines.append(
-                f"n={case.n} m={case.m} a={_plain(case.a)} b={_plain(case.b)} "
-                f"lhs={_plain(result.lhs)} rhs={_plain(result.rhs)} "
-                + ("ok" if result.passed else "FAIL")
-            )
-        lines.extend(f"note: {note}" for note in notes)
-        lines.append(f"total={len(cases)} failures={failures}")
-        document = "\n".join(lines)
-    return code, document
+    def text() -> Iterator[str]:
+        yield (f"verify sweep: a={_plain(args.a)} b={_plain(args.b)} "
+               f"n_max={args.n_max} trials={args.trials} seed={args.seed}")
+        for row in rows:
+            yield (f"n={row['n']} m={row['m']} a={_plain(row['a'])} b={_plain(row['b'])} "
+                   f"lhs={_plain(row['lhs'])} rhs={_plain(row['rhs'])} {_ok(row['pass'])}")
+        yield from (f"note: {note}" for note in notes)
+        yield f"total={len(cases)} failures={failures}"
+
+    return (EXIT_OK if failures == 0 else EXIT_FAILURE), record, rows, text()
 
 
-def cmd_solve(config: RunConfig) -> tuple[int, str]:
+def cmd_solve(args: argparse.Namespace) -> Outcome:
     """Solve by elimination, compare against the signed binomials, flag mismatch."""
-    system = build_system(ArithmeticNodes(config.a, config.b, config.n))
-    params = {"a": _frac(config.a), "b": _frac(config.b), "n": config.n}
+    system = build_system(ArithmeticNodes(args.a, args.b, args.n))
+    params = {"a": args.a, "b": args.b, "n": args.n}
     try:
         eliminated = solve_exact(system)
     except SingularMatrixError as exc:
         message = f"singular system: {exc}"
-        if config.format == "json":
-            document = json.dumps({"command": "solve", "params": params, "error": message}, indent=2)
-        else:
-            document = message
-        return EXIT_FAILURE, document
-    binomial_vector = [Fraction(c) for c in closed_form_solution(config.n)]
+        record = {"command": "solve", "params": params, "error": message}
+        return EXIT_FAILURE, record, None, (message,)
+    binomial_vector = [Fraction(c) for c in closed_form_solution(args.n)]
     agree = eliminated == binomial_vector
+    record = {
+        "command": "solve",
+        "params": params,
+        "eliminated": eliminated,
+        "signed_binomials": binomial_vector,
+        "agree": agree,
+    }
+    rows = [
+        {"k": k, "eliminated": x, "signed_binomial": y, "agree": x == y}
+        for k, (x, y) in enumerate(zip(eliminated, binomial_vector))
+    ]
 
-    if config.format == "json":
-        document = json.dumps(
-            {
-                "command": "solve",
-                "params": params,
-                "eliminated": [_frac(x) for x in eliminated],
-                "signed_binomials": [_frac(x) for x in binomial_vector],
-                "agree": agree,
-            },
-            indent=2,
-        )
-    elif config.format == "csv":
-        document = _csv_document(
-            ("k", "eliminated", "signed_binomial", "agree"),
-            [
-                (k, _frac(eliminated[k]), _frac(binomial_vector[k]), _flag(eliminated[k] == binomial_vector[k]))
-                for k in range(config.n + 1)
-            ],
-        )
-    else:
-        lines = [f"power-sum system: a={_plain(config.a)} b={_plain(config.b)} n={config.n}"]
-        lines.append("matrix:")
-        lines.extend("  " + row for row in system.matrix.render().splitlines())
-        lines.append("rhs: " + " ".join(_frac(v) for v in system.rhs))
-        lines.append("eliminated:       " + " ".join(_plain(x) for x in eliminated))
-        lines.append("signed binomials: " + " ".join(_plain(x) for x in binomial_vector))
-        lines.append("agreement: " + ("yes" if agree else "NO"))
-        document = "\n".join(lines)
-    return (EXIT_OK if agree else EXIT_FAILURE), document
+    def text() -> Iterator[str]:
+        yield f"power-sum system: a={_plain(args.a)} b={_plain(args.b)} n={args.n}"
+        yield "matrix:"
+        yield from ("  " + row for row in system.matrix.render().splitlines())
+        yield "rhs: " + " ".join(_frac(v) for v in system.rhs)
+        yield "eliminated:       " + " ".join(_plain(x) for x in eliminated)
+        yield "signed binomials: " + " ".join(_plain(x) for x in binomial_vector)
+        yield _agreement(agree)
+
+    return (EXIT_OK if agree else EXIT_FAILURE), record, rows, text()
 
 
-def cmd_det(config: RunConfig) -> tuple[int, str]:
+def cmd_det(args: argparse.Namespace) -> Outcome:
     """Compare the three determinant routes and every Cramer numerator."""
-    nodes = ArithmeticNodes(config.a, config.b, config.n)
+    nodes = ArithmeticNodes(args.a, args.b, args.n)
     system = build_system(nodes)
-    closed = det_vandermonde_closed(config.n, config.b)
+    closed = det_vandermonde_closed(args.n, args.b)
     pairwise = det_vandermonde_general(nodes.values())
     eliminated = det_bareiss(system.matrix)
-    dets_agree = closed == pairwise and closed == eliminated
-    signed = closed_form_solution(config.n)
+    agree = closed == pairwise and closed == eliminated
+    signed = closed_form_solution(args.n)
     columns = []
-    all_columns_agree = True
-    for k in range(config.n + 1):
-        numerator = det_cramer_numerator(config.n, k, config.b)
+    for k in range(args.n + 1):
+        numerator = det_cramer_numerator(args.n, k, args.b)
         substituted = det_bareiss(system.matrix.with_column(k, system.rhs))
         column_agree = numerator == substituted
-        if config.b != 0:
+        if args.b != 0:
             column_agree = column_agree and numerator / closed == signed[k]
-        columns.append((k, numerator, substituted, column_agree))
-        all_columns_agree = all_columns_agree and column_agree
-    agree = dets_agree and all_columns_agree
-    params = {"a": _frac(config.a), "b": _frac(config.b), "n": config.n}
-
-    if config.format == "json":
-        document = json.dumps(
-            {
-                "command": "det",
-                "params": params,
-                "closed": _frac(closed),
-                "pairwise": _frac(pairwise),
-                "elimination": _frac(eliminated),
-                "columns": [
-                    {
-                        "k": k,
-                        "closed": _frac(numerator),
-                        "elimination": _frac(substituted),
-                        "agree": column_agree,
-                    }
-                    for k, numerator, substituted, column_agree in columns
-                ],
-                "agree": agree,
-            },
-            indent=2,
+        columns.append(
+            {"k": k, "closed": numerator, "elimination": substituted, "agree": column_agree}
         )
-    elif config.format == "csv":
-        rows: list[tuple[object, ...]] = [
-            ("closed", _frac(closed)),
-            ("pairwise", _frac(pairwise)),
-            ("elimination", _frac(eliminated)),
-        ]
-        rows.extend((f"column_{k}", _frac(numerator)) for k, numerator, _, _ in columns)
-        rows.append(("agree", _flag(agree)))
-        document = _csv_document(("item", "value"), rows)
-    else:
-        lines = [f"determinants: a={_plain(config.a)} b={_plain(config.b)} n={config.n}"]
-        lines.append(f"closed form:          {_plain(closed)}")
-        lines.append(f"pairwise product:     {_plain(pairwise)}")
-        lines.append(f"elimination:          {_plain(eliminated)}")
-        for k, numerator, substituted, column_agree in columns:
-            lines.append(
-                f"column k={k}: closed={_plain(numerator)} "
-                f"elimination={_plain(substituted)} " + ("ok" if column_agree else "FAIL")
-            )
-        lines.append("agreement: " + ("yes" if agree else "NO"))
-        document = "\n".join(lines)
-    return (EXIT_OK if agree else EXIT_FAILURE), document
+        agree = agree and column_agree
+    record = {
+        "command": "det",
+        "params": {"a": args.a, "b": args.b, "n": args.n},
+        "closed": closed,
+        "pairwise": pairwise,
+        "elimination": eliminated,
+        "columns": columns,
+        "agree": agree,
+    }
+    rows = [
+        {"item": "closed", "value": closed},
+        {"item": "pairwise", "value": pairwise},
+        {"item": "elimination", "value": eliminated},
+        *({"item": f"column_{c['k']}", "value": c["closed"]} for c in columns),
+        {"item": "agree", "value": agree},
+    ]
+
+    def text() -> Iterator[str]:
+        yield f"determinants: a={_plain(args.a)} b={_plain(args.b)} n={args.n}"
+        yield f"closed form:          {_plain(closed)}"
+        yield f"pairwise product:     {_plain(pairwise)}"
+        yield f"elimination:          {_plain(eliminated)}"
+        for c in columns:
+            yield (f"column k={c['k']}: closed={_plain(c['closed'])} "
+                   f"elimination={_plain(c['elimination'])} {_ok(c['agree'])}")
+        yield _agreement(agree)
+
+    return (EXIT_OK if agree else EXIT_FAILURE), record, rows, text()
 
 
-def cmd_stirling(config: RunConfig) -> tuple[int, str]:
+def cmd_stirling(args: argparse.Namespace) -> Outcome:
     """Partition-number table with the n! * S(m,n) = alternating-sum column."""
     rows = []
-    all_agree = True
-    for m in range(config.m_max + 1):
-        for n in range(config.n_max + 1):
+    for m in range(args.m_max + 1):
+        for n in range(args.n_max + 1):
             partitions = stirling2(m, n)
             scaled = factorial(n) * partitions
             direct = boole_sum(n, m)
-            agree = scaled == direct
-            all_agree = all_agree and agree
-            rows.append((m, n, partitions, scaled, direct, agree))
+            rows.append({"m": m, "n": n, "stirling2": partitions, "scaled": scaled,
+                         "boole_sum": direct, "agree": scaled == direct})
+    agree = all(row["agree"] for row in rows)
+    record = {
+        "command": "stirling",
+        "params": {"m_max": args.m_max, "n_max": args.n_max},
+        "rows": rows,
+        "agree": agree,
+    }
 
-    if config.format == "json":
-        document = json.dumps(
-            {
-                "command": "stirling",
-                "params": {"m_max": config.m_max, "n_max": config.n_max},
-                "rows": [
-                    {
-                        "m": m,
-                        "n": n,
-                        "stirling2": partitions,
-                        "scaled": scaled,
-                        "boole_sum": direct,
-                        "agree": agree,
-                    }
-                    for m, n, partitions, scaled, direct, agree in rows
-                ],
-                "agree": all_agree,
-            },
-            indent=2,
-        )
-    elif config.format == "csv":
-        document = _csv_document(
-            ("m", "n", "stirling2", "scaled", "boole_sum", "agree"),
-            [(m, n, p, s, d, _flag(a)) for m, n, p, s, d, a in rows],
-        )
-    else:
-        lines = [f"stirling table: m_max={config.m_max} n_max={config.n_max}"]
-        lines.append("m n S(m,n) n!*S(m,n) alternating_sum ok")
-        for m, n, partitions, scaled, direct, agree in rows:
-            lines.append(
-                f"{m} {n} {partitions} {scaled} {direct} " + ("ok" if agree else "FAIL")
-            )
-        lines.append("agreement: " + ("yes" if all_agree else "NO"))
-        document = "\n".join(lines)
-    return (EXIT_OK if all_agree else EXIT_FAILURE), document
+    def text() -> Iterator[str]:
+        yield f"stirling table: m_max={args.m_max} n_max={args.n_max}"
+        yield "m n S(m,n) n!*S(m,n) alternating_sum ok"
+        for r in rows:
+            yield (f"{r['m']} {r['n']} {r['stirling2']} {r['scaled']} {r['boole_sum']} "
+                   f"{_ok(r['agree'])}")
+        yield _agreement(agree)
+
+    return (EXIT_OK if agree else EXIT_FAILURE), record, rows, text()
 
 
 def _median_time_ns(fn: Callable[[], object]) -> int:
@@ -526,56 +427,42 @@ def _median_time_ns(fn: Callable[[], object]) -> int:
     return int(statistics.median(samples))
 
 
-def cmd_bench(config: RunConfig) -> tuple[int, str]:
+def cmd_bench(args: argparse.Namespace) -> Outcome:
     """Time closed-form vs elimination determinants on the ladder n = 1..n_max.
 
     Values are compared for exact agreement before any timing is recorded;
     the timings themselves are the only nondeterministic output fields.
     """
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     rows = []
-    all_agree = True
-    for n in range(1, config.n_max + 1):
+    for n in range(1, args.n_max + 1):
         a = random_rational(rng)
         b = random_rational(rng)
         while b == 0:
             b = random_rational(rng)
         matrix = build_system(ArithmeticNodes(a, b, n)).matrix
-        closed_value = det_vandermonde_closed(n, b)
-        eliminated_value = det_bareiss(matrix)
-        agree = closed_value == eliminated_value
-        all_agree = all_agree and agree
+        agree = det_vandermonde_closed(n, b) == det_bareiss(matrix)
         closed_ns = _median_time_ns(lambda n=n, b=b: det_vandermonde_closed(n, b))
         bareiss_ns = _median_time_ns(lambda matrix=matrix: det_bareiss(matrix))
-        rows.append((n, closed_ns, bareiss_ns, agree))
+        rows.append({"n": n, "closed_ns": closed_ns, "bareiss_ns": bareiss_ns, "agree": agree})
+    agree = all(row["agree"] for row in rows)
+    record = {
+        "command": "bench",
+        "params": {"n_max": args.n_max, "seed": args.seed},
+        "rows": rows,
+        "agree": agree,
+    }
 
-    if config.format == "json":
-        document = json.dumps(
-            {
-                "command": "bench",
-                "params": {"n_max": config.n_max, "seed": config.seed},
-                "rows": [
-                    {"n": n, "closed_ns": c, "bareiss_ns": e, "agree": agree}
-                    for n, c, e, agree in rows
-                ],
-                "agree": all_agree,
-            },
-            indent=2,
-        )
-    elif config.format == "text":
-        lines = [f"bench: n_max={config.n_max} seed={config.seed}"]
-        lines.append("n closed_ns bareiss_ns agree")
-        lines.extend(f"{n} {c} {e} {_flag(agree)}" for n, c, e, agree in rows)
-        document = "\n".join(lines)
-    else:
-        document = _csv_document(
-            ("n", "closed_ns", "bareiss_ns", "agree"),
-            [(n, c, e, _flag(agree)) for n, c, e, agree in rows],
-        )
-    return (EXIT_OK if all_agree else EXIT_FAILURE), document
+    def text() -> Iterator[str]:
+        yield f"bench: n_max={args.n_max} seed={args.seed}"
+        yield "n closed_ns bareiss_ns agree"
+        for r in rows:
+            yield f"{r['n']} {r['closed_ns']} {r['bareiss_ns']} {_flag(r['agree'])}"
+
+    return (EXIT_OK if agree else EXIT_FAILURE), record, rows, text()
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], tuple[int, str]]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], Outcome]] = {
     "verify": cmd_verify,
     "solve": cmd_solve,
     "det": cmd_det,
@@ -587,17 +474,35 @@ _HANDLERS: dict[str, Callable[[RunConfig], tuple[int, str]]] = {
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse flags, run the command, write its document; returns the exit code.
 
-    Usage errors do not return: argparse raises SystemExit(2).
+    Usage errors do not return: argparse raises SystemExit(2).  An --output
+    path that cannot be written returns EXIT_USAGE with one line on stderr;
+    a reader that closes stdout early ends the run quietly with the
+    command's own exit code.
     """
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    namespace = parser.parse_args(_merge_negative_values(raw))
-    config = _config_from_namespace(namespace)
-    code, document = _HANDLERS[config.command](config)
-    if config.output_path is not None:
-        Path(config.output_path).write_text(document + "\n", encoding="utf-8")
+    args = build_parser().parse_args(_merge_negative_values(raw))
+    code, record, csv_rows, text_lines = _HANDLERS[args.command](args)
+    if args.format == "json":
+        document = json.dumps(record, indent=2, default=_frac)
+    elif args.format == "csv" and csv_rows is not None:
+        document = _csv_document(csv_rows)
     else:
-        print(document)
+        document = "\n".join(text_lines)
+    if args.output is not None:
+        try:
+            Path(args.output).write_text(document + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"boolekit: cannot write --output {args.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        return code
+    try:
+        print(document, flush=True)
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so the flush at exit is silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

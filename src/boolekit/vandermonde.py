@@ -177,11 +177,9 @@ def det_bareiss(matrix: ExactMatrix) -> Rational:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
     Each row is first scaled to integers by the least common multiple of its
-    denominators; the elimination then runs entirely over integers, pivoting
-    on the first nonzero entry in column order, and the accumulated row
-    scales are divided back out at the end.  Every interior division in the
-    Bareiss update is exact, which keeps intermediate values the size of
-    minors rather than exploding like naive cross-multiplication.
+    denominators; the elimination then runs entirely over integers, and the
+    accumulated row scales are divided back out of the last pivot at the end.
+    A column without a pivot means the matrix is singular: the value is 0.
     """
     if matrix.rows != matrix.cols:
         raise ValueError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
@@ -194,23 +192,10 @@ def det_bareiss(matrix: ExactMatrix) -> Rational:
         integer_row, scale = _clear_denominators(matrix.row(i))
         work.append(integer_row)
         cleared *= scale
-    sign = 1
-    previous_pivot = 1
-    for k in range(n - 1):
-        pivot_row = _first_nonzero_below(work, k, k)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            row = work[i]
-            head = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - head * work[k][j]) // previous_pivot
-            row[k] = 0
-        previous_pivot = pivot
+    try:
+        sign = _eliminate(work, n)
+    except SingularMatrixError:
+        return Fraction(0)
     return Fraction(sign * work[n - 1][n - 1], cleared)
 
 
@@ -225,29 +210,10 @@ def solve_exact(system: LinearSystem) -> list[Rational]:
     with n >= 1.
     """
     n = system.matrix.rows
-    if n == 0:
-        return []
-    augmented: list[list[int]] = []
-    for i in range(n):
-        integer_row, _ = _clear_denominators(list(system.matrix.row(i)) + [system.rhs[i]])
-        augmented.append(integer_row)
-    previous_pivot = 1
-    for k in range(n):
-        pivot_row = _first_nonzero_below(augmented, k, k)
-        if pivot_row is None:
-            raise SingularMatrixError(f"no pivot available in column {k}: matrix is singular")
-        if pivot_row != k:
-            augmented[k], augmented[pivot_row] = augmented[pivot_row], augmented[k]
-        if k == n - 1:
-            break
-        pivot = augmented[k][k]
-        for i in range(k + 1, n):
-            row = augmented[i]
-            head = row[k]
-            for j in range(k + 1, n + 1):
-                row[j] = (pivot * row[j] - head * augmented[k][j]) // previous_pivot
-            row[k] = 0
-        previous_pivot = pivot
+    augmented = [
+        _clear_denominators(system.matrix.row(i) + (system.rhs[i],))[0] for i in range(n)
+    ]
+    _eliminate(augmented, n)
     solution = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         accumulated = Fraction(augmented[i][n])
@@ -257,15 +223,40 @@ def solve_exact(system: LinearSystem) -> list[Rational]:
     return solution
 
 
+def _eliminate(rows: list[list[int]], n: int) -> int:
+    """Fraction-free forward elimination over the first n columns, in place.
+
+    The n integer rows may be wider than n (an augmented right-hand side is
+    carried along).  Pivots are the first nonzero entry in column order, and
+    every division in the Bareiss update is exact, which keeps intermediate
+    values the size of minors rather than exploding like naive
+    cross-multiplication (Bareiss, Math. Comp. 22, 1968).  Afterwards row k
+    holds the k-th pivot on the diagonal, and the last pivot is the
+    determinant of the leading n x n block up to the returned row-swap sign.
+    Raises SingularMatrixError when a column has no pivot.
+    """
+    sign = 1
+    previous_pivot = 1
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"no pivot available in column {k}: matrix is singular")
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for row in rows[k + 1 : n]:
+            head = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (pivot * row[j] - head * top[j]) // previous_pivot
+            row[k] = 0
+        previous_pivot = pivot
+    return sign
+
+
 def _clear_denominators(entries: Iterable[Rational]) -> tuple[list[int], int]:
     """Scale a row of rationals to integers; returns (integer row, applied factor)."""
     materialised = [Fraction(e) for e in entries]
     scale = math.lcm(*(e.denominator for e in materialised)) if materialised else 1
     return [e.numerator * (scale // e.denominator) for e in materialised], scale
-
-
-def _first_nonzero_below(rows: list[list[int]], start_row: int, column: int) -> int | None:
-    for r in range(start_row, len(rows)):
-        if rows[r][column] != 0:
-            return r
-    return None

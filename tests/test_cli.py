@@ -195,6 +195,15 @@ class TestVerifyCommand:
         document = json.loads(target.read_text(encoding="utf-8"))
         assert document["summary"]["total"] == 6
 
+    @pytest.mark.parametrize("target", ["missing/report.txt", "."])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, target):
+        code = main(["verify", "--n-max", "2", "--output", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("boolekit: cannot write --output ")
+        assert captured.err.count("\n") == 1
+
 
 class TestSolveCommand:
     def test_unit_parameters(self, capsys):
@@ -342,3 +351,18 @@ class TestModuleEntryPoint:
         )
         assert completed.returncode == EXIT_OK
         assert "total=6 failures=0" in completed.stdout
+
+    def test_closed_stdout_pipe_ends_quietly(self):
+        # The document (about 100 kB) outgrows the pipe buffer, so writing the
+        # rest of it after the reader has gone fails inside the child.
+        with subprocess.Popen(
+            [sys.executable, "-m", "boolekit", "verify", "--n-max", "12", "--trials", "30"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as child:
+            first_line = child.stdout.readline()
+            child.stdout.close()
+            errors = child.stderr.read()
+        assert child.returncode == EXIT_OK
+        assert first_line.startswith(b"verify sweep: ")
+        assert errors == b""
