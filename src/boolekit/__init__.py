@@ -11,10 +11,12 @@ from .boole_identity import (
     VerificationReport,
     boole_sum,
     closed_form_solution,
+    differences_at_zero,
     expected_value,
     forward_difference_at_zero,
     generalized_sum,
     stirling2,
+    stirling_rows,
     verify_cramer,
     verify_generalized_boole,
     verify_stirling,
@@ -71,7 +73,9 @@ __all__ = [
     "closed_form_solution",
     "boole_sum",
     "stirling2",
+    "stirling_rows",
     "forward_difference_at_zero",
+    "differences_at_zero",
     "generalized_sum",
     "expected_value",
     "verify_generalized_boole",

@@ -10,9 +10,11 @@ independent routes so that a bug in one route cannot silently confirm itself:
   sum_k (-1)^k C(n,k) (a+bk)^m, equal to (-1)^n b^n n! at m = n and 0 for
   m < n;
 * the Cramer-rule reading of both: the signed binomials (-1)^(n-k) C(n,k)
-  form the unique solution of the power-sum linear system, so substituting
-  them back must reproduce every equation, and the closed-form determinant
-  ratios must reproduce every component.
+  form the unique solution of the power-sum linear system.  Row i of the
+  order-n system dotted with them is (-1)^n * generalized_sum(a, b, n, i),
+  so the generalized sweep already checks every equation; the generic
+  solver and the closed-form determinant ratios must reproduce every
+  component.
 
 The verify_* sweeps return in-memory reports; serialization is the cli
 module's concern.
@@ -20,7 +22,7 @@ module's concern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational_core import Rational, binomial, factorial, rat_pow
@@ -76,10 +78,9 @@ class CaseResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Ordered case results plus free-form notes (skipped checks and the like)."""
+    """Ordered case results of one sweep."""
 
     results: tuple[CaseResult, ...]
-    notes: tuple[str, ...] = field(default=())
 
     @property
     def total(self) -> int:
@@ -117,37 +118,49 @@ def boole_sum(n: int, m: int) -> int:
     return sum((-1) ** (n - k) * binomial(n, k) * k**m for k in range(n + 1))
 
 
-def stirling2(m: int, n: int) -> int:
-    """Stirling partition number S(m, n): m-element sets into n nonempty blocks.
+def stirling_rows(m_max: int, n_max: int) -> list[list[int]]:
+    """Stirling partition numbers S(m, 0..n_max) for m = 0..m_max, one row per m.
 
-    Computed by the recurrence S(m,n) = n*S(m-1,n) + S(m-1,n-1) with
-    S(0,0) = 1 and zero on the rest of the boundary, rolling a single row of
-    the table.
+    S(m, n) counts the ways to split an m-element set into n nonempty
+    blocks.  Each row comes from the previous one by the recurrence
+    S(m,n) = n*S(m-1,n) + S(m-1,n-1), with S(0,0) = 1 and zero on the rest
+    of the boundary.  Every row is a fresh list.
     """
-    if m < 0 or n < 0:
-        raise ValueError(f"m and n must be >= 0, got m={m} n={n}")
-    row = [1] + [0] * n
-    for i in range(1, m + 1):
-        successor = [0] * (n + 1)
-        for j in range(1, min(i, n) + 1):
-            successor[j] = j * row[j] + row[j - 1]
-        row = successor
-    return row[n]
+    if m_max < 0 or n_max < 0:
+        raise ValueError(f"m_max and n_max must be >= 0, got m_max={m_max} n_max={n_max}")
+    rows = [[1] + [0] * n_max]
+    for _ in range(m_max):
+        previous = rows[-1]
+        rows.append([0] + [n * previous[n] + previous[n - 1] for n in range(1, n_max + 1)])
+    return rows
+
+
+def stirling2(m: int, n: int) -> int:
+    """Stirling partition number S(m, n), read from stirling_rows."""
+    return stirling_rows(m, n)[m][n]
+
+
+def differences_at_zero(m: int, n_max: int) -> list[int]:
+    """n-fold forward differences of j^m at 0, for n = 0..n_max.
+
+    Builds the table row j^m for j = 0..n_max, collapses it n_max times by
+    adjacent subtraction, and keeps the head of every row.  A classical
+    identity makes entry n equal to boole_sum(n, m), which is exactly why it
+    serves as an oracle here.
+    """
+    if m < 0 or n_max < 0:
+        raise ValueError(f"m and n_max must be >= 0, got m={m} n_max={n_max}")
+    values = [j**m for j in range(n_max + 1)]
+    heads = [values[0]]
+    for _ in range(n_max):
+        values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+        heads.append(values[0])
+    return heads
 
 
 def forward_difference_at_zero(m: int, n: int) -> int:
-    """n-fold forward difference of j^m, evaluated at 0.
-
-    Builds the table row j^m for j = 0..n and collapses it n times by
-    adjacent subtraction.  A classical identity makes this equal to
-    boole_sum(n, m), which is exactly why it serves as an oracle here.
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"m and n must be >= 0, got m={m} n={n}")
-    values = [j**m for j in range(n + 1)]
-    for _ in range(n):
-        values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    return values[0]
+    """n-fold forward difference of j^m at 0, read from differences_at_zero."""
+    return differences_at_zero(m, n)[n]
 
 
 def generalized_sum(a: Rational, b: Rational, n: int, m: int) -> Rational:
@@ -186,12 +199,10 @@ def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> Verificati
     """Sweep the generalized identity over 0 <= m <= n <= n_max at fixed (a, b).
 
     Each case compares generalized_sum against expected_value with exact
-    equality.  When b is nonzero the sweep additionally substitutes the
-    signed binomial vector into the power-sum system for every n and checks
-    each equation; a row that fails is appended as an extra failing case
-    (with the row index in the m slot).  When b = 0 that substitution check
-    is skipped, with a note, because the system is singular there; the
-    identity cases themselves still run.
+    equality, for every b including 0.  Case (n, m) is also row m of the
+    order-n power-sum system with the signed binomials substituted, up to
+    the factor (-1)^n on both sides, so the sweep checks every equation of
+    that substitution as well.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -203,20 +214,7 @@ def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> Verificati
             lhs = generalized_sum(a, b, n, m)
             rhs = expected_value(a, b, n, m)
             results.append(CaseResult(IdentityCase(n, m, a, b), lhs, rhs, lhs == rhs))
-    notes = []
-    if b == 0:
-        notes.append("system-substitution check skipped: b = 0 makes the nodes coincide")
-    else:
-        bad_rows = 0
-        for n in range(n_max + 1):
-            for row, lhs, rhs in _system_row_failures(a, b, n):
-                results.append(CaseResult(IdentityCase(n, row, a, b), lhs, rhs, False))
-                bad_rows += 1
-        if bad_rows == 0:
-            notes.append(
-                f"signed binomial vector satisfies every system row for n <= {n_max}"
-            )
-    return VerificationReport(tuple(results), tuple(notes))
+    return VerificationReport(tuple(results))
 
 
 def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
@@ -225,20 +223,20 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
     A case passes only if the forward-difference table produces the same
     value as well, so each grid point is a three-way agreement between
     direct summation, the Stirling recurrence, and repeated differencing.
+    One Stirling table and one difference table per m cover the grid.
     Cases are stamped with (a, b) = (0, 1), the node family the classical
     sum lives on.
     """
-    if m_max < 0 or n_max < 0:
-        raise ValueError(f"m_max and n_max must be >= 0, got m_max={m_max} n_max={n_max}")
+    partitions = stirling_rows(m_max, n_max)
+    differences = [differences_at_zero(m, n_max) for m in range(m_max + 1)]
     zero = Fraction(0)
     one = Fraction(1)
     results = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             direct = boole_sum(n, m)
-            scaled = factorial(n) * stirling2(m, n)
-            differenced = forward_difference_at_zero(m, n)
-            passed = direct == scaled and direct == differenced
+            scaled = factorial(n) * partitions[m][n]
+            passed = direct == scaled and direct == differences[m][n]
             results.append(
                 CaseResult(IdentityCase(n, m, zero, one), Fraction(direct), Fraction(scaled), passed)
             )
@@ -270,23 +268,3 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
         passed = solved[k] == expected and ratio == expected
         results.append(CaseResult(IdentityCase(n, k, a, b), solved[k], expected, passed))
     return VerificationReport(tuple(results))
-
-
-def _system_row_failures(
-    a: Rational, b: Rational, n: int
-) -> list[tuple[int, Rational, Rational]]:
-    """Rows of the order-n power-sum system the signed binomial vector fails.
-
-    Returns (row index, achieved value, required value) triples; empty when
-    the vector is a genuine solution.
-    """
-    system = build_system(ArithmeticNodes(a, b, n))
-    vector = closed_form_solution(n)
-    failures = []
-    for i in range(n + 1):
-        achieved = sum(
-            (system.matrix.at(i, j) * vector[j] for j in range(n + 1)), Fraction(0)
-        )
-        if achieved != system.rhs[i]:
-            failures.append((i, achieved, system.rhs[i]))
-    return failures

@@ -41,7 +41,7 @@ from .boole_identity import (
     CaseResult,
     boole_sum,
     closed_form_solution,
-    stirling2,
+    stirling_rows,
     verify_cramer,
     verify_generalized_boole,
     verify_stirling,
@@ -391,10 +391,11 @@ def cmd_det(args: argparse.Namespace) -> Outcome:
 
 def cmd_stirling(args: argparse.Namespace) -> Outcome:
     """Partition-number table with the n! * S(m,n) = alternating-sum column."""
+    table = stirling_rows(args.m_max, args.n_max)
     rows = []
     for m in range(args.m_max + 1):
         for n in range(args.n_max + 1):
-            partitions = stirling2(m, n)
+            partitions = table[m][n]
             scaled = factorial(n) * partitions
             direct = boole_sum(n, m)
             rows.append({"m": m, "n": n, "stirling2": partitions, "scaled": scaled,

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boolekit.boole_identity as bi
@@ -11,10 +11,12 @@ from boolekit.boole_identity import (
     VerificationReport,
     boole_sum,
     closed_form_solution,
+    differences_at_zero,
     expected_value,
     forward_difference_at_zero,
     generalized_sum,
     stirling2,
+    stirling_rows,
     verify_cramer,
     verify_generalized_boole,
     verify_stirling,
@@ -24,6 +26,9 @@ from boolekit.vandermonde import ArithmeticNodes, SingularMatrixError, build_sys
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 nonzero_rationals = small_rationals.filter(lambda x: x != 0)
+wide_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=999)
+sizes = st.integers(min_value=0, max_value=25)
+negatives = st.integers(max_value=-1)
 
 
 def enumerate_partitions(elements):
@@ -129,6 +134,71 @@ class TestForwardDifference:
                 assert forward_difference_at_zero(m, n) == boole_sum(n, m)
 
 
+class TestStirlingRows:
+    @given(sizes, sizes)
+    @settings(deadline=None, max_examples=40)
+    def test_scaled_rows_match_alternating_sum(self, m_max, n_max):
+        rows = stirling_rows(m_max, n_max)
+        assert len(rows) == m_max + 1
+        for m, row in enumerate(rows):
+            assert [factorial(n) * s for n, s in enumerate(row)] == [
+                boole_sum(n, m) for n in range(n_max + 1)
+            ]
+
+    @given(sizes, sizes, sizes, sizes)
+    @settings(deadline=None)
+    def test_truncated_rows_do_not_depend_on_bounds(self, m_max, n_max, m_cut, n_cut):
+        m_cut, n_cut = min(m_cut, m_max), min(n_cut, n_max)
+        wide = stirling_rows(m_max, n_max)
+        assert [row[: n_cut + 1] for row in wide[: m_cut + 1]] == stirling_rows(m_cut, n_cut)
+
+    @given(sizes, sizes, st.data())
+    @settings(deadline=None)
+    def test_rows_are_separate_lists(self, m_max, n_max, data):
+        rows = stirling_rows(m_max, n_max)
+        snapshot = [list(row) for row in rows]
+        m = data.draw(st.integers(min_value=0, max_value=m_max))
+        n = data.draw(st.integers(min_value=0, max_value=n_max))
+        rows[m][n] += 1
+        assert rows[:m] + rows[m + 1 :] == snapshot[:m] + snapshot[m + 1 :]
+        assert stirling_rows(m_max, n_max) == snapshot
+
+    @given(negatives, sizes)
+    def test_negative_bound_raises_on_call(self, negative, size):
+        with pytest.raises(ValueError):
+            stirling_rows(negative, size)
+        with pytest.raises(ValueError):
+            stirling_rows(size, negative)
+
+
+class TestDifferencesAtZero:
+    @given(sizes, sizes)
+    @settings(deadline=None)
+    def test_heads_match_alternating_sum(self, m, n_max):
+        assert differences_at_zero(m, n_max) == [boole_sum(n, m) for n in range(n_max + 1)]
+
+    @given(sizes, sizes, sizes)
+    @settings(deadline=None)
+    def test_truncated_heads_do_not_depend_on_bound(self, m, n_max, n_cut):
+        n_cut = min(n_cut, n_max)
+        assert differences_at_zero(m, n_max)[: n_cut + 1] == differences_at_zero(m, n_cut)
+
+    @given(sizes, sizes, st.data())
+    @settings(deadline=None)
+    def test_returned_list_is_fresh(self, m, n_max, data):
+        heads = differences_at_zero(m, n_max)
+        snapshot = list(heads)
+        heads[data.draw(st.integers(min_value=0, max_value=n_max))] += 1
+        assert differences_at_zero(m, n_max) == snapshot
+
+    @given(negatives, sizes)
+    def test_negative_argument_raises_on_call(self, negative, size):
+        with pytest.raises(ValueError):
+            differences_at_zero(negative, size)
+        with pytest.raises(ValueError):
+            differences_at_zero(size, negative)
+
+
 class TestGeneralizedSum:
     def test_diagonal_case(self):
         assert generalized_sum(Fraction(1), Fraction(2), 2, 2) == 8
@@ -192,14 +262,24 @@ class TestVerifyGeneralizedBoole:
         assert report.total == 45
         assert report.failures == 0
 
-    def test_zero_step_skips_substitution_with_note(self):
+    def test_zero_step_runs_every_case(self):
         report = verify_generalized_boole(Fraction(7), Fraction(0), 6)
+        assert report.total == 28
         assert report.failures == 0
-        assert any("skipped" in note and "b = 0" in note for note in report.notes)
 
-    def test_nonzero_step_notes_row_check(self):
-        report = verify_generalized_boole(Fraction(2), Fraction(3), 4)
-        assert any("system row" in note for note in report.notes)
+    @given(wide_rationals, st.one_of(st.just(Fraction(0)), wide_rationals),
+           st.integers(min_value=0, max_value=8))
+    @example(Fraction(-5, 3), Fraction(0), 8)
+    @example(Fraction(1, 997), Fraction(-7, 101), 8)
+    @settings(deadline=None)
+    def test_system_rows_are_signed_identity_cases(self, a, b, n):
+        system = build_system(ArithmeticNodes(a, b, n))
+        vector = closed_form_solution(n)
+        sign = (-1) ** n
+        for i in range(n + 1):
+            row = sum((system.matrix.at(i, j) * vector[j] for j in range(n + 1)), Fraction(0))
+            assert row == sign * generalized_sum(a, b, n, i)
+            assert system.rhs[i] == sign * expected_value(a, b, n, i)
 
     def test_corrupted_expectation_is_caught(self, monkeypatch):
         genuine = bi.expected_value

@@ -44,7 +44,7 @@ PASSING = {
 
 
 _REAL_EXPECTED_VALUE = bi.expected_value
-_REAL_STIRLING2 = bi.stirling2
+_REAL_STIRLING_ROWS = bi.stirling_rows
 _REAL_CRAMER_NUMERATOR = vm.det_cramer_numerator
 
 
@@ -53,9 +53,11 @@ def _wrong_expected_value(a, b, n, m):
     return value + 1 if (n, m) == (2, 2) else value
 
 
-def _wrong_stirling2(m, n):
-    value = _REAL_STIRLING2(m, n)
-    return value + 1 if (m, n) == (3, 2) else value
+def _wrong_stirling_rows(m_max, n_max):
+    rows = [list(row) for row in _REAL_STIRLING_ROWS(m_max, n_max)]
+    if m_max >= 3 and n_max >= 2:
+        rows[3][2] += 1
+    return rows
 
 
 def _wrong_cramer_numerator(n, k, b):
@@ -71,11 +73,11 @@ FAILING = {
     ),
     "fail-stirling2": (
         ["stirling", "--m-max", "4", "--n-max", "3"],
-        [(cli, "stirling2", _wrong_stirling2)],
+        [(cli, "stirling_rows", _wrong_stirling_rows)],
     ),
     "fail-stirling2-verify": (
         ["verify", "--n-max", "3", "--m-max", "4"],
-        [(bi, "stirling2", _wrong_stirling2)],
+        [(bi, "stirling_rows", _wrong_stirling_rows)],
     ),
     "fail-cramer-numerator": (
         ["det", "--a", "1", "--b", "-1/2", "--n", "2"],
