@@ -15,6 +15,7 @@ from .boole_identity import (
     expected_value,
     forward_difference_at_zero,
     generalized_sum,
+    generalized_sums,
     stirling2,
     stirling_rows,
     verify_cramer,
@@ -77,6 +78,7 @@ __all__ = [
     "forward_difference_at_zero",
     "differences_at_zero",
     "generalized_sum",
+    "generalized_sums",
     "expected_value",
     "verify_generalized_boole",
     "verify_stirling",

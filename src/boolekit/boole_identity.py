@@ -22,6 +22,8 @@ module's concern.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,8 +55,10 @@ class IdentityCase:
     def __post_init__(self) -> None:
         if self.n < 0 or self.m < 0:
             raise ValueError(f"n and m must be >= 0, got n={self.n} m={self.m}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                object.__setattr__(self, name, Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,10 @@ class CaseResult:
     passed: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lhs", Fraction(self.lhs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        for name in ("lhs", "rhs"):
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                object.__setattr__(self, name, Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -179,6 +185,38 @@ def generalized_sum(a: Rational, b: Rational, n: int, m: int) -> Rational:
     return total
 
 
+def generalized_sums(a: Rational, b: Rational, n_max: int) -> list[list[Rational]]:
+    """Rows [n][m] = generalized_sum(a, b, n, m) for 0 <= m <= n <= n_max.
+
+    With D = lcm(den a, den b) every node is a + b*k = (A + B*k)/D for the
+    integers A = a*D and B = b*D, so one integer table of (A + B*k)^m serves
+    every (n, m): each entry is one integer dot product with the signed
+    binomials (-1)^k C(n,k), walked row by row of Pascal's triangle, and a
+    single division by D^m.  The table starts each power column at 1, so a
+    zero node gives 0**0 = 1 as rat_pow does.  Every row is a fresh list.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    a = Fraction(a)
+    b = Fraction(b)
+    scale = math.lcm(a.denominator, b.denominator)
+    offset = a.numerator * (scale // a.denominator)
+    step = b.numerator * (scale // b.denominator)
+    nodes = [offset + step * k for k in range(n_max + 1)]
+    powers = [[1] * (n_max + 1)]
+    for _ in range(n_max):
+        powers.append(list(map(operator.mul, powers[-1], nodes)))
+    rows = []
+    signed = [1]
+    for n in range(n_max + 1):
+        if n:
+            signed = list(map(operator.sub, signed + [0], [0] + signed))
+        rows.append([
+            Fraction(sum(map(operator.mul, signed, powers[m])), scale**m) for m in range(n + 1)
+        ])
+    return rows
+
+
 def expected_value(a: Rational, b: Rational, n: int, m: int) -> Rational:
     """Closed form of generalized_sum for m <= n: (-1)^n * b^n * n! at m = n, else 0.
 
@@ -198,20 +236,20 @@ def expected_value(a: Rational, b: Rational, n: int, m: int) -> Rational:
 def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> VerificationReport:
     """Sweep the generalized identity over 0 <= m <= n <= n_max at fixed (a, b).
 
-    Each case compares generalized_sum against expected_value with exact
-    equality, for every b including 0.  Case (n, m) is also row m of the
-    order-n power-sum system with the signed binomials substituted, up to
-    the factor (-1)^n on both sides, so the sweep checks every equation of
-    that substitution as well.
+    Each case compares the generalized_sums entry, the value of
+    generalized_sum, against expected_value with exact equality, for every
+    b including 0.  Case (n, m) is also row m of the order-n power-sum
+    system with the signed binomials substituted, up to the factor (-1)^n
+    on both sides, so the sweep checks every equation of that substitution
+    as well.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     a = Fraction(a)
     b = Fraction(b)
     results = []
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            lhs = generalized_sum(a, b, n, m)
+    for n, sums in enumerate(generalized_sums(a, b, n_max)):
+        for m, lhs in enumerate(sums):
             rhs = expected_value(a, b, n, m)
             results.append(CaseResult(IdentityCase(n, m, a, b), lhs, rhs, lhs == rhs))
     return VerificationReport(tuple(results))

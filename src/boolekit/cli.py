@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -472,16 +473,29 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], Outcome]] = {
 }
 
 
+def _cannot_write(path: str, reason: str) -> int:
+    print(f"boolekit: cannot write --output {path}: {reason}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse flags, run the command, write its document; returns the exit code.
 
     Usage errors do not return: argparse raises SystemExit(2).  An --output
-    path that cannot be written returns EXIT_USAGE with one line on stderr;
+    path that cannot be written returns EXIT_USAGE with one line on stderr,
+    before the command runs when the path is a directory or its parent
+    directory is missing, after it for failures only the write reveals;
     a reader that closes stdout early ends the run quietly with the
     command's own exit code.
     """
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_merge_negative_values(raw))
+    if args.output is not None:
+        target = Path(args.output)
+        if target.is_dir():
+            return _cannot_write(args.output, os.strerror(errno.EISDIR))
+        if not target.parent.is_dir():
+            return _cannot_write(args.output, os.strerror(errno.ENOENT))
     code, record, csv_rows, text_lines = _HANDLERS[args.command](args)
     if args.format == "json":
         document = json.dumps(record, indent=2, default=_frac)
@@ -493,9 +507,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             Path(args.output).write_text(document + "\n", encoding="utf-8")
         except OSError as exc:
-            print(f"boolekit: cannot write --output {args.output}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            return _cannot_write(args.output, exc.strerror or str(exc))
         return code
     try:
         print(document, flush=True)

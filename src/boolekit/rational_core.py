@@ -53,7 +53,8 @@ def format_rational(value: Rational, always_fraction: bool = False) -> str:
     With ``always_fraction`` integers render as ``"p/1"`` (the uniform shape
     used inside JSON documents).
     """
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1 and not always_fraction:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -15,6 +15,7 @@ from boolekit.boole_identity import (
     expected_value,
     forward_difference_at_zero,
     generalized_sum,
+    generalized_sums,
     stirling2,
     stirling_rows,
     verify_cramer,
@@ -27,6 +28,7 @@ from boolekit.vandermonde import ArithmeticNodes, SingularMatrixError, build_sys
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 nonzero_rationals = small_rationals.filter(lambda x: x != 0)
 wide_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=999)
+wide_or_zero = st.one_of(st.just(Fraction(0)), wide_rationals)
 sizes = st.integers(min_value=0, max_value=25)
 negatives = st.integers(max_value=-1)
 
@@ -229,6 +231,40 @@ class TestGeneralizedSum:
         assert scaled == c**m * generalized_sum(a, b, n, m)
 
 
+class TestGeneralizedSums:
+    @given(wide_or_zero, wide_or_zero, st.integers(min_value=0, max_value=10))
+    @example(Fraction(0), Fraction(0), 10)
+    @example(Fraction(0), Fraction(-7, 3), 10)
+    @example(Fraction(5, 998), Fraction(0), 10)
+    @example(Fraction(-1, 997), Fraction(-8, 999), 10)
+    @settings(deadline=None)
+    def test_rows_match_definitional_sum(self, a, b, n_max):
+        rows = generalized_sums(a, b, n_max)
+        assert [len(row) for row in rows] == list(range(1, n_max + 2))
+        for n, row in enumerate(rows):
+            assert row == [generalized_sum(a, b, n, m) for m in range(n + 1)]
+
+    @given(wide_or_zero, wide_or_zero, st.integers(min_value=0, max_value=10))
+    @settings(deadline=None)
+    def test_rows_do_not_depend_on_n_max(self, a, b, n_max):
+        assert generalized_sums(a, b, n_max + 3)[: n_max + 1] == generalized_sums(a, b, n_max)
+
+    @given(wide_or_zero, wide_or_zero, st.integers(min_value=0, max_value=10), st.data())
+    @settings(deadline=None)
+    def test_rows_are_fresh_lists(self, a, b, n_max, data):
+        rows = generalized_sums(a, b, n_max)
+        snapshot = [list(row) for row in rows]
+        n = data.draw(st.integers(min_value=0, max_value=n_max))
+        rows[n][data.draw(st.integers(min_value=0, max_value=n))] += 1
+        assert rows[:n] + rows[n + 1 :] == snapshot[:n] + snapshot[n + 1 :]
+        assert generalized_sums(a, b, n_max) == snapshot
+
+    @given(negatives)
+    def test_negative_n_max_raises_on_call(self, negative):
+        with pytest.raises(ValueError):
+            generalized_sums(Fraction(0), Fraction(1), negative)
+
+
 class TestExpectedValue:
     def test_diagonal(self):
         assert expected_value(Fraction(100), Fraction(2), 2, 2) == 8
@@ -280,6 +316,18 @@ class TestVerifyGeneralizedBoole:
             row = sum((system.matrix.at(i, j) * vector[j] for j in range(n + 1)), Fraction(0))
             assert row == sign * generalized_sum(a, b, n, i)
             assert system.rhs[i] == sign * expected_value(a, b, n, i)
+
+    @given(wide_or_zero, wide_or_zero, st.integers(min_value=0, max_value=8))
+    @example(Fraction(0), Fraction(0), 8)
+    @settings(deadline=None)
+    def test_report_matches_definitional_route(self, a, b, n_max):
+        cases = []
+        for n in range(n_max + 1):
+            for m in range(n + 1):
+                lhs = generalized_sum(a, b, n, m)
+                rhs = expected_value(a, b, n, m)
+                cases.append(CaseResult(IdentityCase(n, m, a, b), lhs, rhs, lhs == rhs))
+        assert verify_generalized_boole(a, b, n_max) == VerificationReport(tuple(cases))
 
     def test_corrupted_expectation_is_caught(self, monkeypatch):
         genuine = bi.expected_value

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import jsonschema
 import pytest
 
 import boolekit.boole_identity as bi
+import boolekit.cli as cli
 from boolekit.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -196,12 +198,28 @@ class TestVerifyCommand:
         assert document["summary"]["total"] == 6
 
     @pytest.mark.parametrize("target", ["missing/report.txt", "."])
-    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, target):
-        code = main(["verify", "--n-max", "2", "--output", str(tmp_path / target)])
+    def test_unwritable_output_is_a_usage_error(self, capsys, monkeypatch, tmp_path, target):
+        def never(args):
+            raise AssertionError("the command ran before --output was checked")
+
+        # The path is checked before the command runs, so a huge order costs nothing.
+        monkeypatch.setitem(cli._HANDLERS, "verify", never)
+        code = main(
+            ["verify", "--n-max", "99999999999999999999", "--output", str(tmp_path / target)]
+        )
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("boolekit: cannot write --output ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_failure_found_only_by_the_write_is_a_usage_error(self, capsys):
+        code = main(["verify", "--n-max", "2", "--output", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("boolekit: cannot write --output /dev/full: ")
         assert captured.err.count("\n") == 1
 
 
