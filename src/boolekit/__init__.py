@@ -39,6 +39,7 @@ from .vandermonde import (
     LinearSystem,
     SingularMatrixError,
     build_system,
+    cramer_numerators,
     det_bareiss,
     det_cramer_numerator,
     det_vandermonde_closed,
@@ -67,6 +68,7 @@ __all__ = [
     "det_vandermonde_closed",
     "det_cramer_numerator",
     "det_bareiss",
+    "cramer_numerators",
     "solve_exact",
     "IdentityCase",
     "CaseResult",

@@ -52,6 +52,7 @@ from .vandermonde import (
     ArithmeticNodes,
     SingularMatrixError,
     build_system,
+    cramer_numerators,
     det_bareiss,
     det_cramer_numerator,
     det_vandermonde_closed,
@@ -346,13 +347,12 @@ def cmd_det(args: argparse.Namespace) -> Outcome:
     system = build_system(nodes)
     closed = det_vandermonde_closed(args.n, args.b)
     pairwise = det_vandermonde_general(nodes.values())
-    eliminated = det_bareiss(system.matrix)
+    eliminated, substituted_columns = cramer_numerators(system)
     agree = closed == pairwise and closed == eliminated
     signed = closed_form_solution(args.n)
     columns = []
-    for k in range(args.n + 1):
+    for k, substituted in enumerate(substituted_columns):
         numerator = det_cramer_numerator(args.n, k, args.b)
-        substituted = det_bareiss(system.matrix.with_column(k, system.rhs))
         column_agree = numerator == substituted
         if args.b != 0:
             column_agree = column_agree and numerator / closed == signed[k]

@@ -6,7 +6,9 @@ right-hand side is (0, ..., 0, b^n * n!).  The coefficient matrix is a
 Vandermonde matrix, so its determinant has a closed form; the same goes for
 the column-substituted determinants that appear as Cramer-rule numerators.
 Generic exact routes (pairwise-difference product, fraction-free integer
-elimination) are provided as independent cross-checks.
+elimination) are provided as independent cross-checks; cramer_numerators
+gets the determinant and every Cramer numerator from one fraction-free
+elimination of the augmented system, without any closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rational_core import Rational, factorial, format_rational, rat_pow, superfactorial
 
@@ -186,12 +188,7 @@ def det_bareiss(matrix: ExactMatrix) -> Rational:
     n = matrix.rows
     if n == 0:
         return Fraction(1)
-    work: list[list[int]] = []
-    cleared = 1
-    for i in range(n):
-        integer_row, scale = _clear_denominators(matrix.row(i))
-        work.append(integer_row)
-        cleared *= scale
+    work, cleared = _clear_rows(matrix.row(i) for i in range(n))
     try:
         sign = _eliminate(work, n)
     except SingularMatrixError:
@@ -210,16 +207,47 @@ def solve_exact(system: LinearSystem) -> list[Rational]:
     with n >= 1.
     """
     n = system.matrix.rows
-    augmented = [
-        _clear_denominators(system.matrix.row(i) + (system.rhs[i],))[0] for i in range(n)
-    ]
+    augmented, _ = _clear_rows(_augmented_rows(system))
     _eliminate(augmented, n)
+    return _back_substitute(augmented, n)
+
+
+def cramer_numerators(system: LinearSystem) -> tuple[Rational, list[Rational]]:
+    """Determinant of the matrix and every Cramer numerator, from one elimination.
+
+    For a system of side n returns (det, [det_0, ..., det_{n-1}]), where
+    det_k is the determinant of the matrix with column k replaced by the
+    right-hand side.  One fraction-free pass over the denominator-cleared
+    augmented rows gives the determinant (sign x last pivot / row scales)
+    and, by back-substitution, the solution x; Cramer's rule then gives
+    det_k = det * x_k.  A singular matrix has det = 0 and no solution to
+    scale, so there each numerator is the substituted determinant itself,
+    by det_bareiss.
+    """
+    n = system.matrix.rows
+    augmented, cleared = _clear_rows(_augmented_rows(system))
+    try:
+        sign = _eliminate(augmented, n)
+    except SingularMatrixError:
+        substituted = [det_bareiss(system.matrix.with_column(k, system.rhs)) for k in range(n)]
+        return Fraction(0), substituted
+    det = Fraction(sign * augmented[n - 1][n - 1], cleared) if n else Fraction(1)
+    return det, [det * x for x in _back_substitute(augmented, n)]
+
+
+def _augmented_rows(system: LinearSystem) -> Iterator[tuple[Rational, ...]]:
+    """Each matrix row with its right-hand-side entry appended."""
+    return (system.matrix.row(i) + (system.rhs[i],) for i in range(system.matrix.rows))
+
+
+def _back_substitute(rows: list[list[int]], n: int) -> list[Rational]:
+    """Solution of eliminated augmented rows (pivots on the diagonal), over rationals."""
     solution = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
-        accumulated = Fraction(augmented[i][n])
+        accumulated = Fraction(rows[i][n])
         for j in range(i + 1, n):
-            accumulated -= augmented[i][j] * solution[j]
-        solution[i] = accumulated / augmented[i][i]
+            accumulated -= rows[i][j] * solution[j]
+        solution[i] = accumulated / rows[i][i]
     return solution
 
 
@@ -253,6 +281,17 @@ def _eliminate(rows: list[list[int]], n: int) -> int:
             row[k] = 0
         previous_pivot = pivot
     return sign
+
+
+def _clear_rows(rows: Iterable[Iterable[Rational]]) -> tuple[list[list[int]], int]:
+    """Scale each row to integers; returns (integer rows, product of the applied factors)."""
+    cleared_rows = []
+    cleared = 1
+    for row in rows:
+        integer_row, scale = _clear_denominators(row)
+        cleared_rows.append(integer_row)
+        cleared *= scale
+    return cleared_rows, cleared
 
 
 def _clear_denominators(entries: Iterable[Rational]) -> tuple[list[int], int]:

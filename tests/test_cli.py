@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,9 +9,12 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boolekit.boole_identity as bi
 import boolekit.cli as cli
+import boolekit.vandermonde as vandermonde
 from boolekit.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -295,6 +300,42 @@ class TestDetCommand:
         assert document["closed"] == "0/1"
         assert document["agree"] is True
 
+    @staticmethod
+    def count_eliminations_and_copies(monkeypatch):
+        eliminations, copies = [], []
+        eliminate = vandermonde._eliminate
+        with_column = vandermonde.ExactMatrix.with_column
+
+        def counting_eliminate(rows, n):
+            eliminations.append(n)
+            return eliminate(rows, n)
+
+        def counting_with_column(matrix, j, column):
+            copies.append(j)
+            return with_column(matrix, j, column)
+
+        monkeypatch.setattr(vandermonde, "_eliminate", counting_eliminate)
+        monkeypatch.setattr(vandermonde.ExactMatrix, "with_column", counting_with_column)
+        return eliminations, copies
+
+    @pytest.mark.parametrize(
+        "a, b, n", [("0", "1", "0"), ("0", "1", "2"), ("1/2", "2/3", "7"), ("-3", "-1/4", "12")]
+    )
+    def test_one_elimination_for_every_column(self, capsys, monkeypatch, a, b, n):
+        eliminations, copies = self.count_eliminations_and_copies(monkeypatch)
+        code, _ = run_cli(capsys, "det", "--a", a, "--b", b, "--n", n, "--format", "json")
+        assert code == EXIT_OK
+        assert eliminations == [int(n) + 1]
+        assert copies == []
+
+    def test_singular_nodes_substitute_every_column(self, capsys, monkeypatch):
+        # The one route defined without a pivot; it also shows the counters see the calls.
+        eliminations, copies = self.count_eliminations_and_copies(monkeypatch)
+        code, _ = run_cli(capsys, "det", "--a", "5", "--b", "0", "--n", "3")
+        assert code == EXIT_OK
+        assert copies == [0, 1, 2, 3]
+        assert eliminations == [4] * 5
+
 
 class TestStirlingCommand:
     def test_small_table(self, capsys):
@@ -358,6 +399,67 @@ class TestUsageErrors:
             main(argv)
         assert excinfo.value.code == EXIT_USAGE
         capsys.readouterr()
+
+
+ORDER_FLAGS = {
+    "verify": ("--n-max", "--m-max"),
+    "solve": ("--n",),
+    "det": ("--n",),
+    "stirling": ("--m-max", "--n-max"),
+    "bench": ("--n-max",),
+}
+RATIONAL_VALUES = ["0", "1", "-1", "2/3", "-3/4", "9/4", "1/0", "3/-4", "abc", "", "1.5", "-"]
+ORDER_VALUES = ["0", "1", "3", "6", "-1", "x", "2.5"]
+FLAG_VALUES = {
+    "--a": RATIONAL_VALUES,
+    "--b": RATIONAL_VALUES,
+    "--n": ORDER_VALUES,
+    "--n-max": ORDER_VALUES,
+    "--m-max": ORDER_VALUES,
+    "--trials": ["0", "1", "2", "-1", "many"],
+    "--seed": ["0", "7", "-2", "s"],
+    "--format": ["json", "csv", "text", "xml"],
+    # Names relative to a scratch directory: a file, one in a missing directory, the directory.
+    "--output": ["@report.out", "@missing/report.out", "@."],
+}
+UNKNOWN_FLAGS = ["--bogus", "-x", "--n-maxx", "--help"]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """Subcommand, orders of at most 6 and a step, then flags, values and junk in any order."""
+    command = draw(st.sampled_from([*ORDER_FLAGS, "unknown-command", None]))
+    argv = [] if command is None else [command]
+    for flag in ORDER_FLAGS.get(command, ()):
+        argv += [flag, str(draw(st.integers(min_value=0, max_value=6)))]
+    if command in ("verify", "solve", "det"):
+        argv += ["--b", draw(st.sampled_from(["1", "0", "-2/3"]))]
+    flag_or_junk = st.sampled_from([*FLAG_VALUES, *UNKNOWN_FLAGS, *RATIONAL_VALUES])
+    for token in draw(st.lists(flag_or_junk, max_size=6)):
+        argv.append(token)
+        # A flag keeps its value four times in five; without one it eats the next token.
+        if token in FLAG_VALUES and draw(st.integers(min_value=0, max_value=4)) < 4:
+            argv.append(draw(st.sampled_from(FLAG_VALUES[token])))
+    return argv
+
+
+class TestArgvFuzz:
+    @given(argv=fuzzed_argv())
+    @settings(deadline=None, max_examples=200)
+    def test_every_argv_exits_with_a_documented_code(self, tmp_path_factory, argv):
+        base = tmp_path_factory.getbasetemp() / "argv-fuzz"
+        base.mkdir(exist_ok=True)
+        argv = [str(base / token[1:]) if token.startswith("@") else token for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code != EXIT_USAGE:
+            assert err.getvalue() == ""
 
 
 class TestModuleEntryPoint:

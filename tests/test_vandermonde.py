@@ -11,6 +11,7 @@ from boolekit.vandermonde import (
     LinearSystem,
     SingularMatrixError,
     build_system,
+    cramer_numerators,
     det_bareiss,
     det_cramer_numerator,
     det_vandermonde_closed,
@@ -263,3 +264,71 @@ class TestSolveExact:
                 (system.matrix.at(i, j) * x[j] for j in range(n + 1)), Fraction(0)
             )
             assert achieved == system.rhs[i]
+
+
+@st.composite
+def square_systems(draw):
+    """Random rational systems of side 0..6, often singular or needing row swaps."""
+    size = draw(st.integers(min_value=0, max_value=6))
+    # Entries from a seeded generator: Hypothesis's own draws favour 0 and repeat
+    # values so often that most matrices would be singular and few need a swap.
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    rows = [[entry() for _ in range(size)] for _ in range(size)]
+    rhs = [entry() for _ in range(size)]
+    shapes = ["plain", "row_swap", "row_swap", "zero_column", "repeated_column", "zero_row"]
+    shape = draw(st.sampled_from(shapes)) if size > 1 else "plain"
+    if shape == "row_swap":
+        # Zero leading entries in the top rows force a row swap.
+        for i in range(draw(st.integers(min_value=1, max_value=size - 1))):
+            rows[i][0] = Fraction(0)
+    elif shape == "zero_column":
+        for row in rows:
+            row[0] = Fraction(0)
+    elif shape == "repeated_column":
+        source, target = draw(st.permutations(range(size)))[:2]
+        for row in rows:
+            row[target] = row[source]
+    elif shape == "zero_row":
+        rows[draw(st.integers(min_value=0, max_value=size - 1))] = [Fraction(0)] * size
+    return LinearSystem(ExactMatrix.from_rows(rows), tuple(rhs))
+
+
+class TestCramerNumerators:
+    @staticmethod
+    def definition(system):
+        matrix = system.matrix
+        return det_bareiss(matrix), [
+            det_bareiss(matrix.with_column(k, system.rhs)) for k in range(matrix.cols)
+        ]
+
+    @given(square_systems())
+    @settings(deadline=None)
+    def test_matches_substituted_determinants(self, system):
+        assert cramer_numerators(system) == self.definition(system)
+
+    @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=6))
+    @settings(deadline=None)
+    def test_power_systems_zero_step_included(self, a, b, n):
+        system = build_system(ArithmeticNodes(a, b, n))
+        assert cramer_numerators(system) == self.definition(system)
+
+    def test_row_swap_sign(self):
+        matrix = ExactMatrix.from_rows([[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]])
+        system = LinearSystem(matrix, (Fraction(4), Fraction(5)))
+        assert cramer_numerators(system) == (Fraction(-6), [Fraction(-6), Fraction(-12)])
+
+    def test_singular_inconsistent_system_keeps_its_numerators(self):
+        matrix = ExactMatrix.from_rows([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+        system = LinearSystem(matrix, (Fraction(1), Fraction(2)))
+        assert cramer_numerators(system) == (Fraction(0), [Fraction(-1), Fraction(1)])
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_power_system_numerators_are_the_closed_forms(self, n):
+        b = Fraction(-7, 9)
+        det, numerators = cramer_numerators(build_system(ArithmeticNodes(Fraction(9, 8), b, n)))
+        assert det == det_vandermonde_closed(n, b)
+        assert numerators == [det_cramer_numerator(n, k, b) for k in range(n + 1)]
