@@ -185,8 +185,10 @@ def generalized_sum(a: Rational, b: Rational, n: int, m: int) -> Rational:
     return total
 
 
-def generalized_sums(a: Rational, b: Rational, n_max: int) -> list[list[Rational]]:
-    """Rows [n][m] = generalized_sum(a, b, n, m) for 0 <= m <= n <= n_max.
+def generalized_sums(
+    a: Rational, b: Rational, n_max: int, m_max: int | None = None
+) -> list[list[Rational]]:
+    """Rows [n][m] = generalized_sum(a, b, n, m) for m = 0..n, or m = 0..m_max if given.
 
     With D = lcm(den a, den b) every node is a + b*k = (A + B*k)/D for the
     integers A = a*D and B = b*D, so one integer table of (A + B*k)^m serves
@@ -195,8 +197,8 @@ def generalized_sums(a: Rational, b: Rational, n_max: int) -> list[list[Rational
     single division by D^m.  The table starts each power column at 1, so a
     zero node gives 0**0 = 1 as rat_pow does.  Every row is a fresh list.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max < 0 or (m_max is not None and m_max < 0):
+        raise ValueError(f"n_max and m_max must be >= 0, got n_max={n_max} m_max={m_max}")
     a = Fraction(a)
     b = Fraction(b)
     scale = math.lcm(a.denominator, b.denominator)
@@ -204,15 +206,16 @@ def generalized_sums(a: Rational, b: Rational, n_max: int) -> list[list[Rational
     step = b.numerator * (scale // b.denominator)
     nodes = [offset + step * k for k in range(n_max + 1)]
     powers = [[1] * (n_max + 1)]
-    for _ in range(n_max):
+    for _ in range(n_max if m_max is None else m_max):
         powers.append(list(map(operator.mul, powers[-1], nodes)))
     rows = []
     signed = [1]
     for n in range(n_max + 1):
         if n:
             signed = list(map(operator.sub, signed + [0], [0] + signed))
+        width = n + 1 if m_max is None else m_max + 1
         rows.append([
-            Fraction(sum(map(operator.mul, signed, powers[m])), scale**m) for m in range(n + 1)
+            Fraction(sum(map(operator.mul, signed, powers[m])), scale**m) for m in range(width)
         ])
     return rows
 
@@ -256,27 +259,27 @@ def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> Verificati
 
 
 def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
-    """Check boole_sum(n,m) = n! * S(m,n) over the full (m, n) grid.
+    """Check boole_sum(n,m) = n! * S(m,n) over the full (m, n) grid, ordered by n, then m.
 
     A case passes only if the forward-difference table produces the same
     value as well, so each grid point is a three-way agreement between
     direct summation, the Stirling recurrence, and repeated differencing.
-    One Stirling table and one difference table per m cover the grid.
-    Cases are stamped with (a, b) = (0, 1), the node family the classical
-    sum lives on.
+    The direct sums (lhs) are (-1)^n times the generalized_sums table at
+    (a, b) = (0, 1), the nodes every case is stamped with; one Stirling
+    table (rhs = n! * S(m,n)) and one difference table per m do the rest.
     """
     partitions = stirling_rows(m_max, n_max)
     differences = [differences_at_zero(m, n_max) for m in range(m_max + 1)]
     zero = Fraction(0)
     one = Fraction(1)
     results = []
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            direct = boole_sum(n, m)
+    for n, sums in enumerate(generalized_sums(zero, one, n_max, m_max)):
+        for m, value in enumerate(sums):
+            direct = -value if n % 2 else value
             scaled = factorial(n) * partitions[m][n]
             passed = direct == scaled and direct == differences[m][n]
             results.append(
-                CaseResult(IdentityCase(n, m, zero, one), Fraction(direct), Fraction(scaled), passed)
+                CaseResult(IdentityCase(n, m, zero, one), direct, Fraction(scaled), passed)
             )
     return VerificationReport(tuple(results))
 

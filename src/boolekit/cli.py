@@ -40,9 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .boole_identity import (
     CaseResult,
-    boole_sum,
     closed_form_solution,
-    stirling_rows,
     verify_cramer,
     verify_generalized_boole,
     verify_stirling,
@@ -391,17 +389,14 @@ def cmd_det(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_stirling(args: argparse.Namespace) -> Outcome:
-    """Partition-number table with the n! * S(m,n) = alternating-sum column."""
-    table = stirling_rows(args.m_max, args.n_max)
+    """verify_stirling's three-route grid as a table of S(m,n), n! * S(m,n) and the sum, by m."""
+    report = verify_stirling(args.m_max, args.n_max)
     rows = []
-    for m in range(args.m_max + 1):
-        for n in range(args.n_max + 1):
-            partitions = table[m][n]
-            scaled = factorial(n) * partitions
-            direct = boole_sum(n, m)
-            rows.append({"m": m, "n": n, "stirling2": partitions, "scaled": scaled,
-                         "boole_sum": direct, "agree": scaled == direct})
-    agree = all(row["agree"] for row in rows)
+    for r in sorted(report.results, key=lambda r: (r.case.m, r.case.n)):
+        scaled = int(r.rhs)
+        rows.append({"m": r.case.m, "n": r.case.n, "stirling2": scaled // factorial(r.case.n),
+                     "scaled": scaled, "boole_sum": int(r.lhs), "agree": r.passed})
+    agree = report.ok
     record = {
         "command": "stirling",
         "params": {"m_max": args.m_max, "n_max": args.n_max},

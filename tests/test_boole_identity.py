@@ -232,17 +232,31 @@ class TestGeneralizedSum:
 
 
 class TestGeneralizedSums:
-    @given(wide_or_zero, wide_or_zero, st.integers(min_value=0, max_value=10))
-    @example(Fraction(0), Fraction(0), 10)
-    @example(Fraction(0), Fraction(-7, 3), 10)
-    @example(Fraction(5, 998), Fraction(0), 10)
-    @example(Fraction(-1, 997), Fraction(-8, 999), 10)
+    @given(
+        wide_or_zero,
+        wide_or_zero,
+        st.integers(min_value=0, max_value=10),
+        st.none() | st.integers(min_value=0, max_value=14),
+    )
+    @example(Fraction(0), Fraction(0), 10, None)
+    @example(Fraction(0), Fraction(-7, 3), 10, None)
+    @example(Fraction(5, 998), Fraction(0), 10, None)
+    @example(Fraction(-1, 997), Fraction(-8, 999), 10, None)
+    @example(Fraction(0), Fraction(0), 10, 14)
+    @example(Fraction(-1, 997), Fraction(-8, 999), 10, 3)
+    @example(Fraction(2, 3), Fraction(5, 7), 0, 0)
     @settings(deadline=None)
-    def test_rows_match_definitional_sum(self, a, b, n_max):
-        rows = generalized_sums(a, b, n_max)
-        assert [len(row) for row in rows] == list(range(1, n_max + 2))
+    def test_rows_match_definitional_sum(self, a, b, n_max, m_max):
+        rows = generalized_sums(a, b, n_max, m_max)
+        widths = [n + 1 if m_max is None else m_max + 1 for n in range(n_max + 1)]
+        assert [len(row) for row in rows] == widths
         for n, row in enumerate(rows):
-            assert row == [generalized_sum(a, b, n, m) for m in range(n + 1)]
+            assert row == [generalized_sum(a, b, n, m) for m in range(widths[n])]
+
+    def test_unit_step_table_is_the_classical_sum(self):
+        rows = generalized_sums(Fraction(0), Fraction(1), 20, 20)
+        for n, row in enumerate(rows):
+            assert [(-1) ** n * value for value in row] == [boole_sum(n, m) for m in range(21)]
 
     @given(wide_or_zero, wide_or_zero, st.integers(min_value=0, max_value=10))
     @settings(deadline=None)
@@ -263,6 +277,8 @@ class TestGeneralizedSums:
     def test_negative_n_max_raises_on_call(self, negative):
         with pytest.raises(ValueError):
             generalized_sums(Fraction(0), Fraction(1), negative)
+        with pytest.raises(ValueError):
+            generalized_sums(Fraction(0), Fraction(1), 3, negative)
 
 
 class TestExpectedValue:

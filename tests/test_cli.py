@@ -357,6 +357,30 @@ class TestStirlingCommand:
         assert lines[0] == "m,n,stirling2,scaled,boole_sum,agree"
         assert "6,4,65,1560,1560,true" in lines
 
+    def test_difference_route_gates_the_table(self, capsys, monkeypatch):
+        genuine = bi.differences_at_zero
+
+        def moved(m, n_max):
+            heads = genuine(m, n_max)
+            if m == 3:
+                heads[2] += 1
+            return heads
+
+        monkeypatch.setattr(bi, "differences_at_zero", moved)
+        code, out = run_cli(capsys, "stirling", "--m-max", "3", "--n-max", "3")
+        assert code == EXIT_FAILURE
+        assert [line for line in out.splitlines() if "FAIL" in line] == ["3 2 3 6 6 FAIL"]
+
+    def test_grid_needs_no_cell_by_cell_oracle(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid must come from the power-sum table")
+
+        monkeypatch.setattr(bi, "boole_sum", refuse)
+        monkeypatch.setattr(bi, "stirling2", refuse)
+        assert not hasattr(cli, "boole_sum") and not hasattr(cli, "stirling_rows")
+        assert run_cli(capsys, "stirling", "--m-max", "7", "--n-max", "5")[0] == EXIT_OK
+        assert run_cli(capsys, "verify", "--n-max", "5", "--m-max", "7")[0] == EXIT_OK
+
 
 class TestBenchCommand:
     def test_ladder_rows(self, capsys):

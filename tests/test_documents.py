@@ -73,7 +73,7 @@ FAILING = {
     ),
     "fail-stirling2": (
         ["stirling", "--m-max", "4", "--n-max", "3"],
-        [(cli, "stirling_rows", _wrong_stirling_rows)],
+        [(bi, "stirling_rows", _wrong_stirling_rows)],
     ),
     "fail-stirling2-verify": (
         ["verify", "--n-max", "3", "--m-max", "4"],
