@@ -492,26 +492,35 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not target.parent.is_dir():
             return _cannot_write(args.output, os.strerror(errno.ENOENT))
     code, record, csv_rows, text_lines = _HANDLERS[args.command](args)
-    if args.format == "json":
-        document = json.dumps(record, indent=2, default=_frac)
-    elif args.format == "csv" and csv_rows is not None:
-        document = _csv_document(csv_rows)
-    else:
-        document = "\n".join(text_lines)
-    if args.output is not None:
-        try:
-            Path(args.output).write_text(document + "\n", encoding="utf-8")
-        except OSError as exc:
-            return _cannot_write(args.output, exc.strerror or str(exc))
-        return code
+    # Exact values can pass the interpreter's limit on int -> str digits (4300 by
+    # default); lift it, where it exists, only while the document is rendered and written.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        print(document, flush=True)
-    except BrokenPipeError:
-        # The reader is gone; point stdout at devnull so the flush at exit is silent too.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    return code
+        if args.format == "json":
+            document = json.dumps(record, indent=2, default=_frac)
+        elif args.format == "csv" and csv_rows is not None:
+            document = _csv_document(csv_rows)
+        else:
+            document = "\n".join(text_lines)
+        if args.output is not None:
+            try:
+                Path(args.output).write_text(document + "\n", encoding="utf-8")
+            except OSError as exc:
+                return _cannot_write(args.output, exc.strerror or str(exc))
+            return code
+        try:
+            print(document, flush=True)
+        except BrokenPipeError:
+            # The reader is gone; point stdout at devnull so the flush at exit is silent too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

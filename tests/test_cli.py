@@ -328,6 +328,23 @@ class TestDetCommand:
         assert eliminations == [int(n) + 1]
         assert copies == []
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_values_past_the_digit_limit_render(self, capsys, fmt):
+        # The determinant has about 4500 digits, past Python's default int -> str limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out = run_cli(
+            capsys, "det", "--b", "1000000000", "--n", "30", "--format", fmt
+        )
+        assert code == EXIT_OK
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        if fmt == "json":
+            document = json.loads(out)
+            assert len(document["closed"]) > 4300
+            assert document["agree"] is True
+        else:
+            assert max(len(line) for line in out.splitlines()) > 4300
+            assert out.rstrip().endswith("agreement: yes" if fmt == "text" else "agree,true")
+
     def test_singular_nodes_substitute_every_column(self, capsys, monkeypatch):
         # The one route defined without a pivot; it also shows the counters see the calls.
         eliminations, copies = self.count_eliminations_and_copies(monkeypatch)
@@ -416,6 +433,7 @@ class TestUsageErrors:
             ["bench", "--n-max", "0"],
             ["unknown-command"],
             [],
+            ["det", "--b", "1" * 5000, "--n", "1"],
         ],
     )
     def test_exit_code_two(self, argv, capsys):
@@ -457,7 +475,7 @@ def fuzzed_argv(draw):
     for flag in ORDER_FLAGS.get(command, ()):
         argv += [flag, str(draw(st.integers(min_value=0, max_value=6)))]
     if command in ("verify", "solve", "det"):
-        argv += ["--b", draw(st.sampled_from(["1", "0", "-2/3"]))]
+        argv += ["--b", draw(st.sampled_from(["1", "0", "-2/3", "1000000000"]))]
     flag_or_junk = st.sampled_from([*FLAG_VALUES, *UNKNOWN_FLAGS, *RATIONAL_VALUES])
     for token in draw(st.lists(flag_or_junk, max_size=6)):
         argv.append(token)
