@@ -260,8 +260,8 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
     cases: list[CaseResult] = []
     for a, b in pairs:
         cases.extend(verify_generalized_boole(a, b, args.n_max).results)
-    rows_skipped = sum(1 for _, b in pairs if b == 0)
-    rows_checked = len(pairs) - rows_skipped
+    zero_steps = sum(1 for _, b in pairs if b == 0)
+    cramer_pairs = len(pairs) - zero_steps
     cramer_passed = 0
     for a, b in pairs:
         if b != 0:
@@ -271,10 +271,8 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
     stirling_report = verify_stirling(args.m_max, args.n_max)
     cases.extend(r for r in stirling_report.results if not r.passed)
     notes = (
-        f"system rows substituted for {rows_checked} pair(s), "
-        f"skipped for {rows_skipped} pair(s) with b = 0",
-        f"cramer component checks passed for {cramer_passed} of {rows_checked} "
-        f"pair(s) at n = {args.n_max}",
+        f"cramer component checks passed for {cramer_passed} of {cramer_pairs} "
+        f"pair(s) at n = {args.n_max}, skipped for {zero_steps} pair(s) with b = 0",
         f"stirling grid m <= {args.m_max}, n <= {args.n_max}: "
         + ("ok" if stirling_report.ok else "FAILED"),
     )
