@@ -390,7 +390,7 @@ def cmd_stirling(args: argparse.Namespace) -> Outcome:
     """verify_stirling's three-route grid as a table of S(m,n), n! * S(m,n) and the sum, by m."""
     report = verify_stirling(args.m_max, args.n_max)
     rows = []
-    for r in sorted(report.results, key=lambda r: (r.case.m, r.case.n)):
+    for r in sorted(report.results, key=lambda result: (result.case.m, result.case.n)):
         scaled = int(r.rhs)
         rows.append({"m": r.case.m, "n": r.case.n, "stirling2": scaled // factorial(r.case.n),
                      "scaled": scaled, "boole_sum": int(r.lhs), "agree": r.passed})
