@@ -287,10 +287,13 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
 def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
     """Check all n+1 solution components of the power-sum system three ways.
 
-    For each k the generic eliminator's solution (recorded as lhs), the
+    For each k the generic solver's solution (recorded as lhs), the
     signed binomial (-1)^(n-k) * C(n,k) (recorded as rhs), and the ratio of
     closed-form determinants must coincide; the m slot of each case carries
-    the component index k.  Raises SingularMatrixError for b = 0, where the
+    the component index k.  The generic solver is solve_exact: a p-adic
+    solution certified by an exact integer check, with fraction-free
+    elimination as the decider of singularity, and no closed form or
+    Vandermonde structure.  Raises SingularMatrixError for b = 0, where the
     system has no unique solution.
     """
     b = Fraction(b)

@@ -302,7 +302,7 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_solve(args: argparse.Namespace) -> Outcome:
-    """Solve by elimination, compare against the signed binomials, flag mismatch."""
+    """Solve with solve_exact, compare against the signed binomials, flag mismatch."""
     system = build_system(ArithmeticNodes(args.a, args.b, args.n))
     params = {"a": args.a, "b": args.b, "n": args.n}
     try:

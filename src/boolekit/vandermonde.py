@@ -9,16 +9,30 @@ Generic exact routes (pairwise-difference product, fraction-free integer
 elimination) are provided as independent cross-checks; cramer_numerators
 gets the determinant and every Cramer numerator from one fraction-free
 elimination of the augmented system, without any closed form.
+
+solve_exact is generic too: it lifts a p-adic solution modulo one
+word-size prime (Dixon lifting), reconstructs fractions from it and returns
+them only once an exact integer check certifies them.  Systems whose matrix
+is singular modulo that prime go to fraction-free elimination instead,
+which alone decides that a system is singular.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .rational_core import Rational, factorial, format_rational, rat_pow, superfactorial
+
+# The one prime of the p-adic solver: word-sized, so residues stay small
+# integers while each lifting step gains 61 bits of the solution.
+_PRIME = 2**61 - 1
+
+# (order, lower, upper, inverse_pivots), as returned by _factor_mod_prime.
+_Factors = tuple[list[int], list[list[int]], list[list[int]], list[int]]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -199,17 +213,29 @@ def det_bareiss(matrix: ExactMatrix) -> Rational:
 def solve_exact(system: LinearSystem) -> list[Rational]:
     """Unique exact solution of a nonsingular square system.
 
-    Runs fraction-free forward elimination on the denominator-cleared
-    augmented matrix (clearing a row only rescales an equation, so the
-    solution set is untouched), then back-substitutes over rationals.
-    Raises SingularMatrixError when some pivot column has no nonzero entry;
-    for power-sum systems that is exactly the coincident-node case b = 0
-    with n >= 1.
+    Clears the denominators of the augmented rows (clearing a row only
+    rescales an equation, so the solution set is untouched) and factors the
+    integer matrix modulo the word-size prime _PRIME.  Dixon lifting then
+    builds the p-adic expansion of the solution one digit vector per step,
+    and rational reconstruction turns it into fractions.  A candidate is
+    returned only after the exact integer check A (d x) = d rhs, so a
+    wrong candidate can cost time but never an answer.  A matrix nonsingular
+    modulo the prime is nonsingular over the rationals, so the certified
+    solution is the unique one.
+
+    When the matrix is singular modulo the prime, and only then, the system
+    goes to fraction-free (Bareiss) elimination and rational
+    back-substitution, which decide singularity: SingularMatrixError is
+    raised when some pivot column has no nonzero entry.  For power-sum
+    systems that is exactly the coincident-node case b = 0 with n >= 1.
     """
     n = system.matrix.rows
     augmented, _ = _clear_rows(_augmented_rows(system))
-    _eliminate(augmented, n)
-    return _back_substitute(augmented, n)
+    factors = _factor_mod_prime(augmented, n)
+    if factors is None:
+        _eliminate(augmented, n)
+        return _back_substitute(augmented, n)
+    return _solve_by_lifting(augmented, n, factors)
 
 
 def cramer_numerators(system: LinearSystem) -> tuple[Rational, list[Rational]]:
@@ -296,6 +322,144 @@ def _clear_rows(rows: Iterable[Iterable[Rational]]) -> tuple[list[list[int]], in
 
 def _clear_denominators(entries: Iterable[Rational]) -> tuple[list[int], int]:
     """Scale a row of rationals to integers; returns (integer row, applied factor)."""
-    materialised = [Fraction(e) for e in entries]
+    materialised = [e if isinstance(e, Fraction) else Fraction(e) for e in entries]
     scale = math.lcm(*(e.denominator for e in materialised)) if materialised else 1
     return [e.numerator * (scale // e.denominator) for e in materialised], scale
+
+
+def _factor_mod_prime(rows: list[list[int]], n: int) -> _Factors | None:
+    """LU factors of the leading n x n block of integer rows modulo _PRIME.
+
+    Returns (order, lower, upper, inverse_pivots): original row order[i]
+    sits in position i, lower[i] holds the multipliers left of the unit
+    diagonal, upper[i] the entries right of pivot i, and inverse_pivots[i]
+    the inverse of pivot i.  Returns None when the block is singular modulo
+    _PRIME.  The rows themselves are left untouched.
+    """
+    prime = _PRIME
+    work = [[entry % prime for entry in row[:n]] for row in rows]
+    order = list(range(n))
+    inverse_pivots = []
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if work[r][k]), None)
+        if pivot_row is None:
+            return None
+        work[k], work[pivot_row] = work[pivot_row], work[k]
+        order[k], order[pivot_row] = order[pivot_row], order[k]
+        top = work[k]
+        inverse = pow(top[k], -1, prime)
+        inverse_pivots.append(inverse)
+        tail = top[k + 1 :]
+        for row in work[k + 1 :]:
+            if row[k]:
+                factor = row[k] * inverse % prime
+                row[k] = factor
+                row[k + 1 :] = [(x - factor * y) % prime for x, y in zip(row[k + 1 :], tail)]
+    lower = [row[:i] for i, row in enumerate(work)]
+    upper = [row[i + 1 :] for i, row in enumerate(work)]
+    return order, lower, upper, inverse_pivots
+
+
+def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[Rational]:
+    """Certified solution of integer augmented rows by Dixon lifting.
+
+    Step k solves A y = r modulo _PRIME with the factors, adds _PRIME^k y to
+    the expansion x and replaces r by (r - A y) / _PRIME, an exact division;
+    so A x = rhs modulo _PRIME^(k+1) throughout (Dixon, Numer. Math. 40,
+    1982).  After every step the expansion is reconstructed as fractions
+    and certified over the integers.  Cramer's rule and Hadamard's bound H
+    on the augmented rows bound every numerator and the denominator by H,
+    so reconstruction must succeed once _PRIME^k > 2 H^2; failing there is
+    an internal error, never a silent answer.
+    """
+    prime = _PRIME
+    matrix = [row[:n] for row in rows]
+    rhs = [row[n] for row in rows]
+    last_modulus = 2 * math.prod(sum(e * e for e in row) for row in rows)
+    residual = rhs
+    expansion = [0] * n
+    modulus = 1
+    while True:
+        digits = _solve_mod_prime(residual, factors)
+        expansion = [x + modulus * y for x, y in zip(expansion, digits)]
+        modulus *= prime
+        residual = [
+            (r - sum(map(operator.mul, row, digits))) // prime
+            for r, row in zip(residual, matrix)
+        ]
+        candidate = _reconstruct_vector(expansion, modulus)
+        if candidate is not None:
+            numerators, denominator = candidate
+            if all(
+                sum(map(operator.mul, row, numerators)) == denominator * b
+                for row, b in zip(matrix, rhs)
+            ):
+                return [Fraction(v, denominator) for v in numerators]
+        if modulus > last_modulus:
+            raise RuntimeError(
+                "p-adic lifting passed Hadamard's bound without a certified solution"
+            )
+
+
+def _solve_mod_prime(rhs: list[int], factors: _Factors) -> list[int]:
+    """The solution modulo _PRIME of A y = rhs, from the LU factors of A."""
+    order, lower, upper, inverse_pivots = factors
+    prime = _PRIME
+    forward: list[int] = []
+    for i, row in enumerate(lower):
+        forward.append((rhs[order[i]] - sum(map(operator.mul, row, forward))) % prime)
+    solution: list[int] = []
+    for i in range(len(upper) - 1, -1, -1):
+        # solution holds components i+1.. in reverse, so it pairs with the reversed row.
+        above = sum(map(operator.mul, reversed(upper[i]), solution))
+        solution.append((forward[i] - above) * inverse_pivots[i] % prime)
+    solution.reverse()
+    return solution
+
+
+def _reconstruct_vector(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
+    """Numerators and one common denominator d with d * x = numerators mod modulus.
+
+    Every numerator and d are at most isqrt(modulus // 2), which makes the
+    answer unique when it exists.  The denominator grows one component at a
+    time: component i is reconstructed from d * x_i, and d absorbs the
+    denominator found.  Returns None when no such vector exists.
+    """
+    bound = math.isqrt(modulus // 2)
+    denominator = 1
+    for residue in residues:
+        scaled = residue * denominator % modulus
+        if scaled <= bound or modulus - scaled <= bound:
+            continue
+        found = _reconstruct_denominator(scaled, modulus, bound)
+        if found is None:
+            return None
+        denominator *= found
+        if denominator > bound:
+            return None
+    numerators = []
+    for residue in residues:
+        scaled = residue * denominator % modulus
+        numerator = scaled if scaled <= bound else scaled - modulus
+        if numerator < -bound:
+            return None
+        numerators.append(numerator)
+    return numerators, denominator
+
+
+def _reconstruct_denominator(residue: int, modulus: int, bound: int) -> int | None:
+    """Denominator q of the fraction p/q = residue mod modulus, |p| and q at most bound.
+
+    Half-extended Euclid on (modulus, residue), stopped at the first
+    remainder within the bound (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 5.10).  Returns None when the cofactor is too large.
+    """
+    r0, r1 = modulus, residue
+    t0, t1 = 0, 1
+    while r1 > bound:
+        quotient = r0 // r1
+        r0, r1 = r1, r0 - quotient * r1
+        t0, t1 = t1, t0 - quotient * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return abs(t1) // math.gcd(r1, t1)

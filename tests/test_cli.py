@@ -271,6 +271,34 @@ class TestSolveCommand:
         assert "1/1 1/1" in out
         assert "0/1 1/1" in out
 
+    @staticmethod
+    def count_eliminations(monkeypatch):
+        eliminations = []
+        eliminate = vandermonde._eliminate
+
+        def counting_eliminate(rows, n):
+            eliminations.append(n)
+            return eliminate(rows, n)
+
+        monkeypatch.setattr(vandermonde, "_eliminate", counting_eliminate)
+        return eliminations
+
+    def test_prime_nodes_need_no_elimination(self, capsys, monkeypatch):
+        eliminations = self.count_eliminations(monkeypatch)
+        code, out = run_cli(
+            capsys, "solve", "--a=101/103", "--b=-107/109", "--n", "36", "--format", "csv"
+        )
+        assert code == EXIT_OK
+        assert out.rstrip().splitlines()[-1] == "36,1/1,1/1,true"
+        assert eliminations == []
+
+    def test_zero_step_is_decided_by_elimination(self, capsys, monkeypatch):
+        eliminations = self.count_eliminations(monkeypatch)
+        code, out = run_cli(capsys, "solve", "--b", "0", "--n", "3")
+        assert code == EXIT_FAILURE
+        assert out == "singular system: no pivot available in column 1: matrix is singular\n"
+        assert eliminations == [4]
+
 
 class TestDetCommand:
     def test_unit_step(self, capsys):

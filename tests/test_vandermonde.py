@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boolekit.vandermonde as vandermonde
 from boolekit.vandermonde import (
     ArithmeticNodes,
     ExactMatrix,
@@ -332,3 +334,90 @@ class TestCramerNumerators:
         det, numerators = cramer_numerators(build_system(ArithmeticNodes(Fraction(9, 8), b, n)))
         assert det == det_vandermonde_closed(n, b)
         assert numerators == [det_cramer_numerator(n, k, b) for k in range(n + 1)]
+
+
+def bareiss_route(system):
+    """The elimination route of solve_exact: Bareiss, then rational back-substitution."""
+    n = system.matrix.rows
+    augmented, _ = vandermonde._clear_rows(vandermonde._augmented_rows(system))
+    vandermonde._eliminate(augmented, n)
+    return vandermonde._back_substitute(augmented, n)
+
+
+class TestSolvePadic:
+    """solve_exact's p-adic route against the Bareiss route it falls back to.
+
+    Small primes make the rare cases common: matrices singular modulo the
+    prime, reconstructions that fail or need the certificate, and many
+    lifting steps.
+    """
+
+    PRIMES = [vandermonde._PRIME, 2, 5, 7]
+
+    @staticmethod
+    def assert_matches_bareiss_route(system):
+        try:
+            expected = bareiss_route(system)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as raised:
+                solve_exact(system)
+            assert str(raised.value) == str(exc)
+        else:
+            assert solve_exact(system) == expected
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        original = getattr(vandermonde, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(vandermonde, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    @given(square_systems())
+    @settings(deadline=None)
+    def test_matches_bareiss_route(self, prime, system):
+        with mock.patch.object(vandermonde, "_PRIME", prime):
+            self.assert_matches_bareiss_route(system)
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=8))
+    @settings(deadline=None)
+    def test_power_systems_match_bareiss_route(self, prime, a, b, n):
+        with mock.patch.object(vandermonde, "_PRIME", prime):
+            self.assert_matches_bareiss_route(build_system(ArithmeticNodes(a, b, n)))
+
+    def test_singular_only_modulo_the_prime(self, monkeypatch):
+        # diag(P, 1) is nonsingular over Q, so the elimination route must solve it.
+        eliminations = self.spy(monkeypatch, "_eliminate")
+        prime = vandermonde._PRIME
+        matrix = ExactMatrix.from_rows([[Fraction(prime), Fraction(0)], [Fraction(0), Fraction(1)]])
+        system = LinearSystem(matrix, (Fraction(3), Fraction(-4)))
+        assert solve_exact(system) == [Fraction(3, prime), Fraction(-4)]
+        assert len(eliminations) == 1
+
+    def test_large_solution_needs_several_lifting_steps(self, monkeypatch):
+        eliminations = self.spy(monkeypatch, "_eliminate")
+        reconstructions = self.spy(monkeypatch, "_reconstruct_vector")
+        big = 10**40 + 1
+        matrix = ExactMatrix.from_rows([[Fraction(3), Fraction(1)], [Fraction(1), Fraction(2)]])
+        system = LinearSystem(matrix, (Fraction(big), Fraction(7, 11)))
+        x = solve_exact(system)
+        # Numerators near 10^40 need a modulus past 2 * 10^80 > P^4.
+        assert len(reconstructions) >= 5
+        assert eliminations == []
+        assert x == [Fraction(22 * big - 7, 55), Fraction(21 - 11 * big, 55)]
+        assert x == bareiss_route(system)
+
+    def test_uncertified_lifting_is_an_error(self, monkeypatch):
+        # Lifting stops at Hadamard's bound and never returns an unchecked answer.
+        steps = self.spy(monkeypatch, "_solve_mod_prime")
+        monkeypatch.setattr(vandermonde, "_reconstruct_vector", lambda residues, modulus: None)
+        system = build_system(ArithmeticNodes(Fraction(1, 3), Fraction(2, 7), 4))
+        with pytest.raises(RuntimeError, match="Hadamard"):
+            solve_exact(system)
+        assert 1 <= len(steps) < 40
