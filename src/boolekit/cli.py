@@ -302,11 +302,11 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_solve(args: argparse.Namespace) -> Outcome:
-    """Solve with solve_exact, compare against the signed binomials, flag mismatch."""
-    system = build_system(ArithmeticNodes(args.a, args.b, args.n))
+    """Solve from the nodes, compare with the signed binomials; only text builds the matrix."""
+    nodes = ArithmeticNodes(args.a, args.b, args.n)
     params = {"a": args.a, "b": args.b, "n": args.n}
     try:
-        eliminated = solve_exact(system)
+        eliminated = solve_exact(nodes)
     except SingularMatrixError as exc:
         message = f"singular system: {exc}"
         record = {"command": "solve", "params": params, "error": message}
@@ -327,6 +327,7 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
 
     def text() -> Iterator[str]:
         yield f"power-sum system: a={_plain(args.a)} b={_plain(args.b)} n={args.n}"
+        system = build_system(nodes)
         yield "matrix:"
         yield from ("  " + row for row in system.matrix.render().splitlines())
         yield "rhs: " + " ".join(_frac(v) for v in system.rhs)
@@ -338,12 +339,11 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_det(args: argparse.Namespace) -> Outcome:
-    """Compare the three determinant routes and every Cramer numerator."""
+    """Compare the three determinant routes and every Cramer numerator, from the nodes."""
     nodes = ArithmeticNodes(args.a, args.b, args.n)
-    system = build_system(nodes)
     closed = det_vandermonde_closed(args.n, args.b)
     pairwise = det_vandermonde_general(nodes.values())
-    eliminated, substituted_columns = cramer_numerators(system)
+    eliminated, substituted_columns = cramer_numerators(nodes)
     agree = closed == pairwise and closed == eliminated
     signed = closed_form_solution(args.n)
     columns = []

@@ -89,7 +89,7 @@ def superfactorial(n: int) -> int:
 def rat_pow(x: Rational, m: int) -> Rational:
     """x**m exactly, with 0**0 = 1 so a zero node still yields a one in the all-ones power row."""
     _natural(m, "m")
-    return Fraction(x) ** m
+    return (x if isinstance(x, Fraction) else Fraction(x)) ** m
 
 
 def _natural(value: int, name: str) -> int:

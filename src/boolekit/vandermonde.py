@@ -6,15 +6,15 @@ right-hand side is (0, ..., 0, b^n * n!).  The coefficient matrix is a
 Vandermonde matrix, so its determinant has a closed form; the same goes for
 the column-substituted determinants that appear as Cramer-rule numerators.
 Generic exact routes (pairwise-difference product, fraction-free integer
-elimination) are provided as independent cross-checks; cramer_numerators
-gets the determinant and every Cramer numerator from one fraction-free
-elimination of the augmented system, without any closed form.
+elimination) serve as independent cross-checks; cramer_numerators gets the
+determinant and every Cramer numerator from one fraction-free elimination.
 
 solve_exact is generic too: it lifts a p-adic solution modulo one
-word-size prime (Dixon lifting), reconstructs fractions from it and returns
-them only once an exact integer check certifies them.  Systems whose matrix
-is singular modulo that prime go to fraction-free elimination instead,
-which alone decides that a system is singular.
+word-size prime (Dixon lifting) and returns the reconstructed fractions
+only once an exact integer check certifies them.  Systems whose matrix is
+singular modulo that prime go to fraction-free elimination, which alone
+decides that a system is singular.  Both take a LinearSystem or the nodes
+themselves, whose integer rows come from the scaled nodes with no Fraction.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ class ExactMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
                 f"got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.entries)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "ExactMatrix":
@@ -127,7 +128,8 @@ class LinearSystem:
             raise ValueError("coefficient matrix must be square")
         if len(self.rhs) != self.matrix.rows:
             raise ValueError("right-hand side length must match the matrix side")
-        object.__setattr__(self, "rhs", tuple(Fraction(e) for e in self.rhs))
+        rhs = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.rhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 def build_system(nodes: ArithmeticNodes) -> LinearSystem:
@@ -210,18 +212,19 @@ def det_bareiss(matrix: ExactMatrix) -> Rational:
     return Fraction(sign * work[n - 1][n - 1], cleared)
 
 
-def solve_exact(system: LinearSystem) -> list[Rational]:
+def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
     """Unique exact solution of a nonsingular square system.
 
-    Clears the denominators of the augmented rows (clearing a row only
-    rescales an equation, so the solution set is untouched) and factors the
-    integer matrix modulo the word-size prime _PRIME.  Dixon lifting then
-    builds the p-adic expansion of the solution one digit vector per step,
-    and rational reconstruction turns it into fractions.  A candidate is
-    returned only after the exact integer check A (d x) = d rhs, so a
-    wrong candidate can cost time but never an answer.  A matrix nonsingular
-    modulo the prime is nonsingular over the rationals, so the certified
-    solution is the unique one.
+    Nodes stand for their power-sum system, whose integer rows come from the
+    scaled nodes; a system has its augmented rows cleared of denominators,
+    which only rescales equations.  The integer matrix is factored modulo
+    the word-size prime _PRIME.  Dixon lifting then builds the p-adic
+    expansion of the solution one digit vector per step, and rational
+    reconstruction turns it into fractions.  A candidate is returned only
+    after the exact integer check A (d x) = d rhs, so a wrong candidate can
+    cost time but never an answer.  A matrix nonsingular modulo the prime
+    is nonsingular over the rationals, so the certified solution is the
+    unique one.
 
     When the matrix is singular modulo the prime, and only then, the system
     goes to fraction-free (Bareiss) elimination and rational
@@ -229,8 +232,8 @@ def solve_exact(system: LinearSystem) -> list[Rational]:
     raised when some pivot column has no nonzero entry.  For power-sum
     systems that is exactly the coincident-node case b = 0 with n >= 1.
     """
-    n = system.matrix.rows
-    augmented, _ = _clear_rows(_augmented_rows(system))
+    augmented, _ = _integer_rows(system)
+    n = len(augmented)
     factors = _factor_mod_prime(augmented, n)
     if factors is None:
         _eliminate(augmented, n)
@@ -238,7 +241,7 @@ def solve_exact(system: LinearSystem) -> list[Rational]:
     return _solve_by_lifting(augmented, n, factors)
 
 
-def cramer_numerators(system: LinearSystem) -> tuple[Rational, list[Rational]]:
+def cramer_numerators(system: LinearSystem | ArithmeticNodes) -> tuple[Rational, list[Rational]]:
     """Determinant of the matrix and every Cramer numerator, from one elimination.
 
     For a system of side n returns (det, [det_0, ..., det_{n-1}]), where
@@ -248,17 +251,39 @@ def cramer_numerators(system: LinearSystem) -> tuple[Rational, list[Rational]]:
     and, by back-substitution, the solution x; Cramer's rule then gives
     det_k = det * x_k.  A singular matrix has det = 0 and no solution to
     scale, so there each numerator is the substituted determinant itself,
-    by det_bareiss.
+    by det_bareiss, on build_system(nodes) when given the nodes.
     """
-    n = system.matrix.rows
-    augmented, cleared = _clear_rows(_augmented_rows(system))
+    augmented, cleared = _integer_rows(system)
+    n = len(augmented)
     try:
         sign = _eliminate(augmented, n)
     except SingularMatrixError:
+        if isinstance(system, ArithmeticNodes):
+            system = build_system(system)
         substituted = [det_bareiss(system.matrix.with_column(k, system.rhs)) for k in range(n)]
         return Fraction(0), substituted
     det = Fraction(sign * augmented[n - 1][n - 1], cleared) if n else Fraction(1)
     return det, [det * x for x in _back_substitute(augmented, n)]
+
+
+def _integer_rows(system: LinearSystem | ArithmeticNodes) -> tuple[list[list[int]], int]:
+    """Cleared augmented rows and the product of their scales, as _clear_rows gives them.
+
+    For nodes, row i is the i-th powers of the scaled nodes A + B*k (A = a*D,
+    B = b*D, D = lcm(den a, den b)) with right-hand side 0, or B^n n! last:
+    row i of build_system scaled by D^i, its lcm, since gcd(A, B, D) = 1.
+    """
+    if not isinstance(system, ArithmeticNodes):
+        return _clear_rows(_augmented_rows(system))
+    a, b, n = system.a, system.b, system.n
+    scale = math.lcm(a.denominator, b.denominator)
+    step = b.numerator * (scale // b.denominator)
+    bases = [a.numerator * (scale // a.denominator) + step * k for k in range(n + 1)]
+    rows = [[1] * (n + 1) + [0]]
+    for _ in range(n):
+        rows.append(list(map(operator.mul, rows[-1][: n + 1], bases)) + [0])
+    rows[n][n + 1] = step**n * factorial(n)
+    return rows, scale ** (n * (n + 1) // 2)
 
 
 def _augmented_rows(system: LinearSystem) -> Iterator[tuple[Rational, ...]]:

@@ -300,6 +300,39 @@ class TestSolveCommand:
         assert eliminations == [4]
 
 
+class TestFractionSystemOnlyForTheMatrixText:
+    """solve and det work from the nodes; only solve's text renders the Fraction matrix."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build_system = vandermonde.build_system
+
+        def counting_build_system(nodes):
+            builds.append(nodes)
+            return build_system(nodes)
+
+        monkeypatch.setattr(vandermonde, "build_system", counting_build_system)
+        monkeypatch.setattr(cli, "build_system", counting_build_system)
+        return builds
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (["solve", "--format", "csv"], 0),
+            (["solve", "--format", "json"], 0),
+            (["det", "--format", "json"], 0),
+            (["solve", "--format", "text"], 1),
+        ],
+        ids=["solve-csv", "solve-json", "det-json", "solve-text"],
+    )
+    def test_build_system_calls(self, capsys, monkeypatch, argv, builds):
+        calls = self.count_builds(monkeypatch)
+        code, _ = run_cli(capsys, *argv, "--a=-109/107", "--b=-113/101", "--n", "12")
+        assert code == EXIT_OK
+        assert len(calls) == builds
+
+
 class TestDetCommand:
     def test_unit_step(self, capsys):
         code, out = run_cli(capsys, "det", "--a", "0", "--b", "1", "--n", "2")

@@ -153,6 +153,10 @@ class TestRatPow:
     def test_zeroth_power_is_one(self, x):
         assert rat_pow(x, 0) == 1
 
+    def test_int_base_gives_a_fraction(self):
+        assert rat_pow(-3, 3) == Fraction(-27)
+        assert type(rat_pow(-3, 3)) is Fraction
+
     def test_small_powers(self):
         assert rat_pow(Fraction(1, 2), 3) == Fraction(1, 8)
         assert rat_pow(Fraction(-2, 3), 2) == Fraction(4, 9)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boolekit.vandermonde as vandermonde
@@ -81,6 +81,11 @@ class TestExactMatrix:
         with pytest.raises(ValueError):
             m.with_column(0, [Fraction(1), Fraction(2)])
 
+    def test_int_entries_become_fractions(self):
+        m = ExactMatrix(1, 3, (3, -4, Fraction(1, 2)))
+        assert m.entries == (Fraction(3), Fraction(-4), Fraction(1, 2))
+        assert all(type(e) is Fraction for e in m.entries)
+
     def test_render_uses_fraction_tokens(self):
         m = ExactMatrix.from_rows([[Fraction(1), Fraction(-1, 2)], [Fraction(0), Fraction(3)]])
         assert m.render() == "1/1 -1/2\n0/1 3/1"
@@ -96,6 +101,12 @@ class TestLinearSystem:
         square = ExactMatrix.from_rows([[Fraction(1)]])
         with pytest.raises(ValueError):
             LinearSystem(square, (Fraction(0), Fraction(1)))
+
+    def test_int_entries_become_fractions(self):
+        system = LinearSystem(ExactMatrix.from_rows([[2, 0], [1, 1]]), (5, Fraction(1, 3)))
+        assert system.matrix.to_rows() == [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]]
+        assert system.rhs == (Fraction(5), Fraction(1, 3))
+        assert all(type(e) is Fraction for e in system.matrix.entries + system.rhs)
 
 
 class TestBuildSystem:
@@ -334,6 +345,50 @@ class TestCramerNumerators:
         det, numerators = cramer_numerators(build_system(ArithmeticNodes(Fraction(9, 8), b, n)))
         assert det == det_vandermonde_closed(n, b)
         assert numerators == [det_cramer_numerator(n, k, b) for k in range(n + 1)]
+
+
+class TestIntegerRowsFromNodes:
+    """Nodes in place of their system: integer rows from the scaled nodes, same answers.
+
+    build_system stays the oracle; a = 0 and b = 0 are pinned as examples.
+    """
+
+    @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=8))
+    @example(Fraction(0), Fraction(0), 3)
+    @example(Fraction(0), Fraction(2, 3), 4)
+    @example(Fraction(-5, 4), Fraction(0), 2)
+    @example(Fraction(7, 6), Fraction(0), 0)
+    @settings(deadline=None)
+    def test_rows_and_scale_match_the_cleared_system(self, a, b, n):
+        nodes = ArithmeticNodes(a, b, n)
+        system = build_system(nodes)
+        expected = vandermonde._clear_rows(vandermonde._augmented_rows(system))
+        assert vandermonde._integer_rows(nodes) == expected
+
+    @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=8))
+    @example(Fraction(0), Fraction(0), 3)
+    @example(Fraction(0), Fraction(-1, 2), 5)
+    @example(Fraction(9, 4), Fraction(0), 1)
+    @settings(deadline=None)
+    def test_solve_exact_matches_the_system(self, a, b, n):
+        nodes = ArithmeticNodes(a, b, n)
+        try:
+            expected = solve_exact(build_system(nodes))
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as raised:
+                solve_exact(nodes)
+            assert str(raised.value) == str(exc)
+        else:
+            assert solve_exact(nodes) == expected
+
+    @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=8))
+    @example(Fraction(0), Fraction(0), 3)
+    @example(Fraction(0), Fraction(3, 7), 6)
+    @example(Fraction(-2), Fraction(0), 4)
+    @settings(deadline=None)
+    def test_cramer_numerators_match_the_system(self, a, b, n):
+        nodes = ArithmeticNodes(a, b, n)
+        assert cramer_numerators(nodes) == cramer_numerators(build_system(nodes))
 
 
 def bareiss_route(system):
