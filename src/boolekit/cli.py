@@ -5,8 +5,8 @@ ways), det (determinant routes side by side), stirling (partition-number
 table with verification column), bench (closed form vs elimination timing).
 
 Each command computes once and returns a record, its csv rows and lazy text
-lines; main renders the chosen format in one place (the json encoder and
-the csv path format every Fraction, the text lines arrive formatted).
+lines; main renders the chosen format in one place (json by a small writer over
+one table of scalar forms, csv with the same flag and p/q forms, text as given).
 Documents go to --output when given, stdout otherwise; every rational
 inside json or csv output uses the canonical "p/q" form so it parses back
 with parse_rational.
@@ -83,12 +83,7 @@ def random_rational(rng: random.Random) -> Rational:
 def seeded_parameter_pairs(seed: int, count: int) -> list[tuple[Rational, Rational]]:
     """Deterministic (a, b) draws; b = 0 occurs whenever its numerator draw is 0."""
     rng = random.Random(seed)
-    pairs = []
-    for _ in range(count):
-        a = random_rational(rng)
-        b = random_rational(rng)
-        pairs.append((a, b))
-    return pairs
+    return [(random_rational(rng), random_rational(rng)) for _ in range(count)]
 
 
 def _rational_arg(text: str) -> Rational:
@@ -212,10 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-
-
 def _frac(value: Rational) -> str:
-    return format_rational(value, always_fraction=True)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _plain(value: Rational) -> str:
@@ -234,10 +227,35 @@ def _agreement(value: bool) -> str:
     return "agreement: " + ("yes" if value else "NO")
 
 
+# The json text of each scalar type a record holds; _json_document rejects any other type.
+_JSON_SCALARS: dict[type, Callable[[object], str]] = {
+    Fraction: lambda value: f'"{value.numerator}/{value.denominator}"',
+    bool: _flag,
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+    type(None): lambda value: "null",
+}
+
+
+def _json_document(value: object, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, default=_frac), for records with str keys."""
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return _JSON_SCALARS[kind](value)
+    inner = indent + "  "
+    if kind is dict:
+        items = [f"{_JSON_SCALARS[str](key)}: {_json_document(item, inner)}"
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if kind is list or kind is tuple:
+        items = [_json_document(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _csv_cell(value: object) -> object:
-    if isinstance(value, bool):
-        return _flag(value)
-    return _frac(value) if isinstance(value, Fraction) else value
+    kind = type(value)
+    return _frac(value) if kind is Fraction else _flag(value) if kind is bool else value
 
 
 def _csv_document(rows: Sequence[dict]) -> str:
@@ -497,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         if args.format == "json":
-            document = json.dumps(record, indent=2, default=_frac)
+            document = _json_document(record)
         elif args.format == "csv" and csv_rows is not None:
             document = _csv_document(csv_rows)
         else:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boolekit.boole_identity as bi
@@ -19,6 +19,8 @@ from boolekit.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
+    _frac,
+    _json_document,
     _merge_negative_values,
     main,
     random_rational,
@@ -484,6 +486,83 @@ class TestBenchCommand:
         assert skeleton() == skeleton()
 
 
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """Lift the int -> str digit limit, where the interpreter has one, as main does."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+# Quotes, backslashes, control and non-ASCII characters, plus any code point.
+JSON_KEYS = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f aZé€\u2028😀') | st.characters(),
+                    max_size=5)
+JSON_SCALARS = (
+    st.fractions()
+    | st.integers().map(Fraction)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=5)
+    | st.integers()
+    # Past the default 4300-digit limit. Mapped from a digit count, because Hypothesis
+    # reprs the elements of sampled_from outside the lifted limit.
+    | st.integers(min_value=4301, max_value=4400).map(lambda digits: 1 - 10**digits)
+    | st.integers(min_value=4301, max_value=4400).map(lambda digits: Fraction(10**digits, 7))
+)
+JSON_RECORDS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(JSON_KEYS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonDocument:
+    @given(record=JSON_RECORDS)
+    @example(record={"a": {}, "b": [], "c": [{}, [[]], ({"d": [Fraction(-3), None]},)]})
+    @settings(deadline=None, max_examples=300)
+    def test_same_text_as_the_standard_encoder(self, record):
+        with no_int_digit_limit():
+            assert _json_document(record) == json.dumps(record, indent=2, default=_frac)
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, {"x": [0.5]}, [frozenset()]])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json_document(value)
+
+
+class TestJsonRoute:
+    """Every json document comes from the writer; the standard encoder is never called."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n-max", "4", "--trials", "2", "--seed", "5"],
+            ["det", "--a", "1/2", "--b", "-2/3", "--n", "4"],
+            ["det", "--b", "0", "--n", "2"],
+            ["solve", "--a", "1/3", "--b", "2/7", "--n", "4"],
+            ["solve", "--b", "0", "--n", "2"],
+            ["stirling", "--m-max", "5", "--n-max", "4"],
+            ["bench", "--n-max", "3"],
+        ],
+    )
+    def test_json_documents_skip_json_dumps(self, argv, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(cli.json, "dumps", refuse)
+        code = main([*argv, "--format", "json"])
+        record = json.loads(capsys.readouterr().out)
+        assert record["command"] == argv[0]
+        assert code == (EXIT_FAILURE if "error" in record else EXIT_OK)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -554,11 +633,18 @@ class TestArgvFuzz:
         base.mkdir(exist_ok=True)
         argv = [str(base / token[1:]) if token.startswith("@") else token for token in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+        # --output without its value takes the next junk token ("-", "0", "abc") as a
+        # relative path, so run from the scratch directory.
+        cwd = os.getcwd()
+        os.chdir(base)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
         assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE), (argv, code)
         assert "Traceback" not in err.getvalue()
         if code != EXIT_USAGE:
