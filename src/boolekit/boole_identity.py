@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .rational_core import Rational, binomial, factorial, rat_pow
@@ -38,8 +38,7 @@ from .vandermonde import (
 )
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(namedtuple("IdentityCase", "n m a b")):
     """One (n, m) instance of an identity at parameters (a, b).
 
     For generalized-sum cases m <= n holds (the closed form is only stated
@@ -47,22 +46,17 @@ class IdentityCase:
     checks reuse the m slot for the component index k.
     """
 
-    n: int
-    m: int
-    a: Rational
-    b: Rational
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.m < 0:
-            raise ValueError(f"n and m must be >= 0, got n={self.n} m={self.m}")
-        for name in ("a", "b"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
+    def __new__(cls, n: int, m: int, a: Rational, b: Rational) -> "IdentityCase":
+        if n < 0 or m < 0:
+            raise ValueError(f"n and m must be >= 0, got n={n} m={m}")
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
+        return tuple.__new__(cls, (n, m, a, b))
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(namedtuple("CaseResult", "case lhs rhs passed")):
     """Both sides of one checked case.
 
     ``passed`` is not always just ``lhs == rhs``: sweeps that consult a third
@@ -70,23 +64,20 @@ class CaseResult:
     the component sweep) fold that route's agreement into ``passed`` as well.
     """
 
-    case: IdentityCase
-    lhs: Rational
-    rhs: Rational
-    passed: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("lhs", "rhs"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
+    def __new__(
+        cls, case: IdentityCase, lhs: Rational, rhs: Rational, passed: bool
+    ) -> "CaseResult":
+        lhs = lhs if isinstance(lhs, Fraction) else Fraction(lhs)
+        rhs = rhs if isinstance(rhs, Fraction) else Fraction(rhs)
+        return tuple.__new__(cls, (case, lhs, rhs, passed))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "results")):
     """Ordered case results of one sweep."""
 
-    results: tuple[CaseResult, ...]
+    __slots__ = ()
 
     @property
     def total(self) -> int:

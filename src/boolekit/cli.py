@@ -31,7 +31,6 @@ import json
 import os
 import random
 import re
-import statistics
 import sys
 import time
 from fractions import Fraction
@@ -437,7 +436,7 @@ def _median_time_ns(fn: Callable[[], object]) -> int:
         start = time.perf_counter_ns()
         fn()
         samples.append(time.perf_counter_ns() - start)
-    return int(statistics.median(samples))
+    return sorted(samples)[_TIMING_REPS // 2]
 
 
 def cmd_bench(args: argparse.Namespace) -> Outcome:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -39,19 +39,17 @@ class SingularMatrixError(ArithmeticError):
     """Raised when an exact solve meets a singular coefficient matrix."""
 
 
-@dataclass(frozen=True)
-class ArithmeticNodes:
+class ArithmeticNodes(namedtuple("ArithmeticNodes", "a b n")):
     """The node family a, a + b, ..., a + n*b (pairwise distinct iff b != 0)."""
 
-    a: Rational
-    b: Rational
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __new__(cls, a: Rational, b: Rational, n: int) -> "ArithmeticNodes":
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
+        return tuple.__new__(cls, (a, b, n))
 
     def node(self, i: int) -> Rational:
         return self.a + i * self.b
@@ -60,24 +58,20 @@ class ArithmeticNodes:
         return [self.node(i) for i in range(self.n + 1)]
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
     """Dense rational matrix, row-major and immutable."""
 
-    rows: int
-    cols: int
-    entries: tuple[Rational, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[Rational, ...]) -> "ExactMatrix":
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "ExactMatrix":
@@ -116,20 +110,18 @@ class ExactMatrix:
         )
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(namedtuple("LinearSystem", "matrix rhs")):
     """Square exact system matrix * x = rhs."""
 
-    matrix: ExactMatrix
-    rhs: tuple[Rational, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.matrix.cols:
+    def __new__(cls, matrix: ExactMatrix, rhs: tuple[Rational, ...]) -> "LinearSystem":
+        if matrix.rows != matrix.cols:
             raise ValueError("coefficient matrix must be square")
-        if len(self.rhs) != self.matrix.rows:
+        if len(rhs) != matrix.rows:
             raise ValueError("right-hand side length must match the matrix side")
-        rhs = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.rhs)
-        object.__setattr__(self, "rhs", rhs)
+        rhs = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in rhs)
+        return tuple.__new__(cls, (matrix, rhs))
 
 
 def build_system(nodes: ArithmeticNodes) -> LinearSystem:

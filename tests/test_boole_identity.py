@@ -414,3 +414,47 @@ class TestReportStructure:
     def test_case_validates_indices(self):
         with pytest.raises(ValueError):
             IdentityCase(-1, 0, Fraction(0), Fraction(1))
+        with pytest.raises(ValueError):
+            IdentityCase(0, -1, Fraction(0), Fraction(1))
+
+    def test_int_values_become_fractions(self):
+        a, lhs = Fraction(1, 2), Fraction(-3, 4)
+        case = IdentityCase(1, 1, a, 2)
+        result = CaseResult(case, lhs, 5, False)
+        assert case.a is a and result.lhs is lhs
+        assert (type(case.b), type(result.rhs)) == (Fraction, Fraction)
+        assert (case.b, result.rhs) == (2, 5)
+
+
+CASE = IdentityCase(2, 1, Fraction(1, 2), Fraction(-2, 3))
+RESULT = CaseResult(CASE, Fraction(0), Fraction(0), True)
+
+# Each record type with its field names and one set of field values.
+RECORDS = [
+    pytest.param(IdentityCase, ("n", "m", "a", "b"), tuple(CASE), id="case"),
+    pytest.param(CaseResult, ("case", "lhs", "rhs", "passed"), tuple(RESULT), id="result"),
+    pytest.param(VerificationReport, ("results",), ((RESULT, RESULT),), id="report"),
+]
+
+
+@pytest.mark.parametrize("cls, names, values", RECORDS)
+class TestRecordContract:
+    def test_equal_fields_give_equal_records_and_hashes(self, cls, names, values):
+        record = cls(*values)
+        twin = cls(**dict(zip(names, values)))
+        assert record == twin
+        assert hash(record) == hash(twin)
+        assert tuple(record) == values
+        assert tuple(getattr(record, name) for name in names) == values
+
+    def test_fields_are_read_only(self, cls, names, values):
+        record = cls(*values)
+        for name, value in zip(names, values):
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+    def test_repr_names_each_field(self, cls, names, values):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(cls(*values)) == f"{cls.__name__}({fields})"

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import jsonschema
@@ -485,6 +486,15 @@ class TestBenchCommand:
 
         assert skeleton() == skeleton()
 
+    def test_median_time_is_the_middle_sample(self, monkeypatch):
+        # Five calls that take 70, 10, 50, 20 and 90 ns: the median is 50, the mean 48.
+        ticks = iter([0, 70, 100, 110, 200, 250, 300, 320, 400, 490])
+        clock = types.SimpleNamespace(perf_counter_ns=lambda: next(ticks))
+        monkeypatch.setattr(cli, "time", clock)
+        calls = []
+        assert cli._median_time_ns(lambda: calls.append(None)) == 50
+        assert len(calls) == 5
+
 
 @contextlib.contextmanager
 def no_int_digit_limit():
@@ -652,6 +662,21 @@ class TestArgvFuzz:
 
 
 class TestModuleEntryPoint:
+    def test_import_loads_no_dataclasses_inspect_or_statistics(self):
+        # Only the modules the import itself adds count, whatever site loaded before.
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import boolekit.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        loaded = set(completed.stdout.split())
+        assert "boolekit.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "statistics"})
+
     def test_python_dash_m_invocation(self):
         completed = subprocess.run(
             [sys.executable, "-m", "boolekit", "verify", "--n-max", "2"],

@@ -31,6 +31,46 @@ def signed_binomials(n):
     return [Fraction((-1) ** (n - k) * binomial(n, k)) for k in range(n + 1)]
 
 
+# Each record type with its field names and one set of field values.
+RECORDS = [
+    pytest.param(
+        ArithmeticNodes, ("a", "b", "n"), (Fraction(1, 2), Fraction(-1, 3), 4), id="nodes"
+    ),
+    pytest.param(
+        ExactMatrix, ("rows", "cols", "entries"), (1, 2, (Fraction(1), Fraction(2))), id="matrix"
+    ),
+    pytest.param(
+        LinearSystem,
+        ("matrix", "rhs"),
+        (ExactMatrix(1, 1, (Fraction(2),)), (Fraction(5, 7),)),
+        id="system",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, names, values", RECORDS)
+class TestRecordContract:
+    def test_equal_fields_give_equal_records_and_hashes(self, cls, names, values):
+        record = cls(*values)
+        twin = cls(**dict(zip(names, values)))
+        assert record == twin
+        assert hash(record) == hash(twin)
+        assert tuple(record) == values
+        assert tuple(getattr(record, name) for name in names) == values
+
+    def test_fields_are_read_only(self, cls, names, values):
+        record = cls(*values)
+        for name, value in zip(names, values):
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+    def test_repr_names_each_field(self, cls, names, values):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+
 class TestArithmeticNodes:
     def test_node_values(self):
         nodes = ArithmeticNodes(Fraction(1, 2), Fraction(1, 3), 3)
@@ -45,6 +85,12 @@ class TestArithmeticNodes:
         with pytest.raises(ValueError):
             ArithmeticNodes(Fraction(0), Fraction(1), -1)
 
+    def test_int_parameters_become_fractions(self):
+        a = Fraction(1, 2)
+        nodes = ArithmeticNodes(a, -3, 2)
+        assert nodes.a is a
+        assert type(nodes.b) is Fraction and nodes.b == -3
+
     @given(small_rationals, nonzero_rationals, st.integers(min_value=1, max_value=8))
     def test_nodes_distinct_iff_step_nonzero(self, a, b, n):
         values = ArithmeticNodes(a, b, n).values()
@@ -57,6 +103,9 @@ class TestExactMatrix:
     def test_entry_count_enforced(self):
         with pytest.raises(ValueError):
             ExactMatrix(2, 2, (Fraction(1), Fraction(2), Fraction(3)))
+        # One entry fits (-1) x (-1), but a side may not be negative.
+        with pytest.raises(ValueError):
+            ExactMatrix(-1, -1, (Fraction(1),))
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -82,9 +131,11 @@ class TestExactMatrix:
             m.with_column(0, [Fraction(1), Fraction(2)])
 
     def test_int_entries_become_fractions(self):
-        m = ExactMatrix(1, 3, (3, -4, Fraction(1, 2)))
+        half = Fraction(1, 2)
+        m = ExactMatrix(1, 3, (3, -4, half))
         assert m.entries == (Fraction(3), Fraction(-4), Fraction(1, 2))
         assert all(type(e) is Fraction for e in m.entries)
+        assert m.entries[2] is half
 
     def test_render_uses_fraction_tokens(self):
         m = ExactMatrix.from_rows([[Fraction(1), Fraction(-1, 2)], [Fraction(0), Fraction(3)]])
@@ -103,10 +154,12 @@ class TestLinearSystem:
             LinearSystem(square, (Fraction(0), Fraction(1)))
 
     def test_int_entries_become_fractions(self):
-        system = LinearSystem(ExactMatrix.from_rows([[2, 0], [1, 1]]), (5, Fraction(1, 3)))
+        third = Fraction(1, 3)
+        system = LinearSystem(ExactMatrix.from_rows([[2, 0], [1, 1]]), (5, third))
         assert system.matrix.to_rows() == [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]]
         assert system.rhs == (Fraction(5), Fraction(1, 3))
         assert all(type(e) is Fraction for e in system.matrix.entries + system.rhs)
+        assert system.rhs[1] is third
 
 
 class TestBuildSystem:
