@@ -27,9 +27,7 @@ from .rational_core import (
     binomial,
     factorial,
     format_rational,
-    is_canonical,
     parse_rational,
-    rat,
     rat_pow,
     superfactorial,
 )
@@ -51,10 +49,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Rational",
-    "rat",
     "parse_rational",
     "format_rational",
-    "is_canonical",
     "factorial",
     "binomial",
     "superfactorial",

@@ -22,7 +22,6 @@ module's concern.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -181,24 +180,16 @@ def generalized_sums(
 ) -> list[list[Rational]]:
     """Rows [n][m] = generalized_sum(a, b, n, m) for m = 0..n, or m = 0..m_max if given.
 
-    With D = lcm(den a, den b) every node is a + b*k = (A + B*k)/D for the
-    integers A = a*D and B = b*D, so one integer table of (A + B*k)^m serves
-    every (n, m): each entry is one integer dot product with the signed
-    binomials (-1)^k C(n,k), walked row by row of Pascal's triangle, and a
-    single division by D^m.  The table starts each power column at 1, so a
-    zero node gives 0**0 = 1 as rat_pow does.  Every row is a fresh list.
+    Every node is a + b*k = (A + B*k)/D, so the one integer table
+    (A + B*k)^m of ArithmeticNodes.integer_powers serves every (n, m): each
+    entry is one integer dot product with the signed binomials
+    (-1)^k C(n,k), walked row by row of Pascal's triangle, and a single
+    division by D^m.  Every row is a fresh list.
     """
     if n_max < 0 or (m_max is not None and m_max < 0):
         raise ValueError(f"n_max and m_max must be >= 0, got n_max={n_max} m_max={m_max}")
-    a = Fraction(a)
-    b = Fraction(b)
-    scale = math.lcm(a.denominator, b.denominator)
-    offset = a.numerator * (scale // a.denominator)
-    step = b.numerator * (scale // b.denominator)
-    nodes = [offset + step * k for k in range(n_max + 1)]
-    powers = [[1] * (n_max + 1)]
-    for _ in range(n_max if m_max is None else m_max):
-        powers.append(list(map(operator.mul, powers[-1], nodes)))
+    nodes = ArithmeticNodes(a, b, n_max)
+    scale, _, powers = nodes.integer_powers(n_max if m_max is None else m_max)
     rows = []
     signed = [1]
     for n in range(n_max + 1):
@@ -284,14 +275,15 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
     the component index k.  The generic solver is solve_exact: a p-adic
     solution certified by an exact integer check, with fraction-free
     elimination as the decider of singularity, and no closed form or
-    Vandermonde structure.  Raises SingularMatrixError for b = 0, where the
-    system has no unique solution.
+    Vandermonde structure.  Raises ValueError for n < 0, and
+    SingularMatrixError for b = 0 with n >= 1, where the nodes coincide and
+    the system has no unique solution; at n = 0 the system is [1] x = [1].
     """
-    b = Fraction(b)
-    if b == 0:
-        raise SingularMatrixError("b = 0 collapses the nodes; the system is singular")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    b = Fraction(b)
+    if b == 0 and n >= 1:
+        raise SingularMatrixError("b = 0 collapses the nodes; the system is singular")
     a = Fraction(a)
     solved = solve_exact(build_system(ArithmeticNodes(a, b, n)))
     signed_binomials = closed_form_solution(n)

@@ -15,8 +15,8 @@ Exit codes:
   0  all checks passed;
   1  at least one identity or agreement failure, or a singular system
      where a solution was required;
-  2  usage error (argparse raises SystemExit(2) itself), or an --output
-     path that cannot be written (one line on stderr).
+  2  usage error (argparse raises SystemExit(2) itself), an --output path
+     that cannot be written, or a run out of memory (one line on stderr).
 A reader that closes stdout early (``| head``) ends the run quietly with the
 command's own exit code.
 """
@@ -496,7 +496,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     before the command runs when the path is a directory or its parent
     directory is missing, after it for failures only the write reveals;
     a reader that closes stdout early ends the run quietly with the
-    command's own exit code.
+    command's own exit code.  A command or rendering out of memory returns
+    EXIT_USAGE with one line on stderr.
     """
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_merge_negative_values(raw))
@@ -506,13 +507,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cannot_write(args.output, os.strerror(errno.EISDIR))
         if not target.parent.is_dir():
             return _cannot_write(args.output, os.strerror(errno.ENOENT))
-    code, record, csv_rows, text_lines = _HANDLERS[args.command](args)
-    # Exact values can pass the interpreter's limit on int -> str digits (4300 by
-    # default); lift it, where it exists, only while the document is rendered and written.
+    # Exact values can pass the interpreter's limit on int -> str digits (4300 by default);
+    # lift it, where it exists, once the flags are parsed, while the command runs and writes.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        code, record, csv_rows, text_lines = _HANDLERS[args.command](args)
         if args.format == "json":
             document = _json_document(record)
         elif args.format == "csv" and csv_rows is not None:
@@ -533,9 +534,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return code
+    except MemoryError:
+        pass  # Report below, once leaving the handler has freed the partial tables.
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+    print(f"boolekit: out of memory in {args.command}; choose a smaller order", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def run() -> None:

@@ -22,14 +22,6 @@ Rational = Fraction
 _RATIONAL_LITERAL = re.compile(r"-?\d+(?:/\d+)?")
 
 
-def rat(num: int, den: int = 1) -> Rational:
-    """Canonical rational num/den.
-
-    Raises ZeroDivisionError when den is zero.
-    """
-    return Fraction(num, den)
-
-
 def parse_rational(text: str) -> Rational:
     """Parse ``"p/q"`` or ``"p"`` (optional leading minus) into a rational.
 
@@ -58,11 +50,6 @@ def format_rational(value: Rational, always_fraction: bool = False) -> str:
     if value.denominator == 1 and not always_fraction:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def is_canonical(value: Rational) -> bool:
-    """True iff value is in reduced form with a positive denominator."""
-    return value.denominator >= 1 and math.gcd(value.numerator, value.denominator) == 1
 
 
 def factorial(n: int) -> int:

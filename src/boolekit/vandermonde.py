@@ -14,7 +14,7 @@ word-size prime (Dixon lifting) and returns the reconstructed fractions
 only once an exact integer check certifies them.  Systems whose matrix is
 singular modulo that prime go to fraction-free elimination, which alone
 decides that a system is singular.  Both take a LinearSystem or the nodes
-themselves, whose integer rows come from the scaled nodes with no Fraction.
+themselves, whose integer rows come from ArithmeticNodes.integer_powers.
 """
 
 from __future__ import annotations
@@ -56,6 +56,23 @@ class ArithmeticNodes(namedtuple("ArithmeticNodes", "a b n")):
 
     def values(self) -> list[Rational]:
         return [self.node(i) for i in range(self.n + 1)]
+
+    def integer_powers(self, m_max: int) -> tuple[int, int, list[list[int]]]:
+        """(D, B, powers) with powers[m][k] = (A + B*k)^m for m = 0..m_max, k = 0..n.
+
+        D = lcm(den a, den b), A = a*D and B = b*D, so node k is (A + B*k)/D.
+        Row 0 is all ones (0**0 = 1, as in rat_pow); every row is a fresh list.
+        """
+        if m_max < 0:
+            raise ValueError(f"m_max must be >= 0, got {m_max}")
+        a, b = self.a, self.b
+        scale = math.lcm(a.denominator, b.denominator)
+        step = b.numerator * (scale // b.denominator)
+        bases = [a.numerator * (scale // a.denominator) + step * k for k in range(self.n + 1)]
+        powers = [[1] * (self.n + 1)]
+        for _ in range(m_max):
+            powers.append(list(map(operator.mul, powers[-1], bases)))
+        return scale, step, powers
 
 
 class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
@@ -187,21 +204,13 @@ def det_bareiss(matrix: ExactMatrix) -> Rational:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
     Each row is first scaled to integers by the least common multiple of its
-    denominators; the elimination then runs entirely over integers, and the
-    accumulated row scales are divided back out of the last pivot at the end.
-    A column without a pivot means the matrix is singular: the value is 0.
+    denominators; _determinant then eliminates over integers and divides the
+    accumulated row scales back out of the last pivot.  A column without a
+    pivot means the matrix is singular: the value is 0.
     """
     if matrix.rows != matrix.cols:
         raise ValueError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
-    n = matrix.rows
-    if n == 0:
-        return Fraction(1)
-    work, cleared = _clear_rows(matrix.row(i) for i in range(n))
-    try:
-        sign = _eliminate(work, n)
-    except SingularMatrixError:
-        return Fraction(0)
-    return Fraction(sign * work[n - 1][n - 1], cleared)
+    return _determinant(*_clear_rows(matrix.row(i) for i in range(matrix.rows)))
 
 
 def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
@@ -238,42 +247,39 @@ def cramer_numerators(system: LinearSystem | ArithmeticNodes) -> tuple[Rational,
 
     For a system of side n returns (det, [det_0, ..., det_{n-1}]), where
     det_k is the determinant of the matrix with column k replaced by the
-    right-hand side.  One fraction-free pass over the denominator-cleared
-    augmented rows gives the determinant (sign x last pivot / row scales)
-    and, by back-substitution, the solution x; Cramer's rule then gives
-    det_k = det * x_k.  A singular matrix has det = 0 and no solution to
-    scale, so there each numerator is the substituted determinant itself,
-    by det_bareiss, on build_system(nodes) when given the nodes.
+    right-hand side.  One fraction-free pass over the integer augmented rows
+    gives the determinant and, by back-substitution, the solution x;
+    Cramer's rule then gives det_k = det * x_k.  A singular matrix has
+    det = 0 and no solution to scale, so there det_k is eliminated from
+    fresh integer rows with the right-hand side copied into column k.
     """
     augmented, cleared = _integer_rows(system)
     n = len(augmented)
-    try:
-        sign = _eliminate(augmented, n)
-    except SingularMatrixError:
-        if isinstance(system, ArithmeticNodes):
-            system = build_system(system)
-        substituted = [det_bareiss(system.matrix.with_column(k, system.rhs)) for k in range(n)]
-        return Fraction(0), substituted
-    det = Fraction(sign * augmented[n - 1][n - 1], cleared) if n else Fraction(1)
-    return det, [det * x for x in _back_substitute(augmented, n)]
+    det = _determinant(augmented, cleared)
+    if det:
+        return det, [det * x for x in _back_substitute(augmented, n)]
+    substituted = []
+    for k in range(n):
+        rows, cleared = _integer_rows(system)
+        for row in rows:
+            row[k] = row[n]
+        substituted.append(_determinant(rows, cleared))
+    return det, substituted
 
 
 def _integer_rows(system: LinearSystem | ArithmeticNodes) -> tuple[list[list[int]], int]:
     """Cleared augmented rows and the product of their scales, as _clear_rows gives them.
 
-    For nodes, row i is the i-th powers of the scaled nodes A + B*k (A = a*D,
-    B = b*D, D = lcm(den a, den b)) with right-hand side 0, or B^n n! last:
-    row i of build_system scaled by D^i, its lcm, since gcd(A, B, D) = 1.
+    For nodes, row i is row i of ArithmeticNodes.integer_powers with
+    right-hand side 0, or B^n n! last: row i of build_system scaled by D^i,
+    its lcm, since gcd(A, B, D) = 1.
     """
     if not isinstance(system, ArithmeticNodes):
         return _clear_rows(_augmented_rows(system))
-    a, b, n = system.a, system.b, system.n
-    scale = math.lcm(a.denominator, b.denominator)
-    step = b.numerator * (scale // b.denominator)
-    bases = [a.numerator * (scale // a.denominator) + step * k for k in range(n + 1)]
-    rows = [[1] * (n + 1) + [0]]
-    for _ in range(n):
-        rows.append(list(map(operator.mul, rows[-1][: n + 1], bases)) + [0])
+    n = system.n
+    scale, step, rows = system.integer_powers(n)
+    for row in rows:
+        row.append(0)
     rows[n][n + 1] = step**n * factorial(n)
     return rows, scale ** (n * (n + 1) // 2)
 
@@ -326,22 +332,27 @@ def _eliminate(rows: list[list[int]], n: int) -> int:
     return sign
 
 
-def _clear_rows(rows: Iterable[Iterable[Rational]]) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; returns (integer rows, product of the applied factors)."""
+def _determinant(rows: list[list[int]], cleared: int) -> Rational:
+    """Leading square block's determinant over cleared, eliminating the rows in place."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    try:
+        sign = _eliminate(rows, n)
+    except SingularMatrixError:
+        return Fraction(0)
+    return Fraction(sign * rows[n - 1][n - 1], cleared)
+
+
+def _clear_rows(rows: Iterable[Sequence[Rational]]) -> tuple[list[list[int]], int]:
+    """Scale each row to integers by its lcm; returns (rows, product of the scales)."""
     cleared_rows = []
     cleared = 1
     for row in rows:
-        integer_row, scale = _clear_denominators(row)
-        cleared_rows.append(integer_row)
+        scale = math.lcm(*(e.denominator for e in row))
+        cleared_rows.append([e.numerator * (scale // e.denominator) for e in row])
         cleared *= scale
     return cleared_rows, cleared
-
-
-def _clear_denominators(entries: Iterable[Rational]) -> tuple[list[int], int]:
-    """Scale a row of rationals to integers; returns (integer row, applied factor)."""
-    materialised = [e if isinstance(e, Fraction) else Fraction(e) for e in entries]
-    scale = math.lcm(*(e.denominator for e in materialised)) if materialised else 1
-    return [e.numerator * (scale // e.denominator) for e in materialised], scale
 
 
 def _factor_mod_prime(rows: list[list[int]], n: int) -> _Factors | None:

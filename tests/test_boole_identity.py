@@ -400,6 +400,17 @@ class TestVerifyCramer:
         with pytest.raises(SingularMatrixError):
             verify_cramer(Fraction(1), Fraction(0), 2)
 
+    def test_zero_step_at_order_zero_solves_one_by_one(self):
+        # The system is [1] x = [1]; one node cannot coincide with another.
+        report = verify_cramer(Fraction(7, 3), Fraction(0), 0)
+        assert report.ok
+        assert [(r.lhs, r.rhs) for r in report.results] == [(Fraction(1), Fraction(1))]
+
+    @pytest.mark.parametrize("b", [Fraction(0), Fraction(1)])
+    def test_negative_order_rejected_before_the_step(self, b):
+        with pytest.raises(ValueError):
+            verify_cramer(Fraction(1), b, -1)
+
 
 class TestReportStructure:
     def test_counts(self):

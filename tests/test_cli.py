@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import types
@@ -410,11 +411,21 @@ class TestDetCommand:
             assert out.rstrip().endswith("agreement: yes" if fmt == "text" else "agree,true")
 
     def test_singular_nodes_substitute_every_column(self, capsys, monkeypatch):
-        # The one route defined without a pivot; it also shows the counters see the calls.
+        # The one route defined without a pivot: each column goes into fresh integer rows.
         eliminations, copies = self.count_eliminations_and_copies(monkeypatch)
+        built = []
+        build_system = vandermonde.build_system
+
+        def counting_build_system(nodes):
+            built.append(nodes)
+            return build_system(nodes)
+
+        monkeypatch.setattr(vandermonde, "build_system", counting_build_system)
+        monkeypatch.setattr(cli, "build_system", counting_build_system)
         code, _ = run_cli(capsys, "det", "--a", "5", "--b", "0", "--n", "3")
         assert code == EXIT_OK
-        assert copies == [0, 1, 2, 3]
+        assert copies == []
+        assert built == []
         assert eliminations == [4] * 5
 
 
@@ -685,6 +696,25 @@ class TestModuleEntryPoint:
         )
         assert completed.returncode == EXIT_OK
         assert "total=6 failures=0" in completed.stdout
+
+    def test_out_of_memory_is_a_usage_exit(self):
+        # The child caps only its own address space; --n 5000 needs far more.
+        cap = 400 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        completed = subprocess.run(
+            [sys.executable, "-m", "boolekit", "solve", "--n", "5000"],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
+        )
+        assert completed.returncode == EXIT_USAGE
+        assert completed.stdout == ""
+        assert completed.stderr.startswith("boolekit: out of memory")
+        assert len(completed.stderr.splitlines()) == 1
+        assert "Traceback" not in completed.stderr
 
     def test_closed_stdout_pipe_ends_quietly(self):
         # The document (about 100 kB) outgrows the pipe buffer, so writing the

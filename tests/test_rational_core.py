@@ -9,9 +9,7 @@ from boolekit.rational_core import (
     binomial,
     factorial,
     format_rational,
-    is_canonical,
     parse_rational,
-    rat,
     rat_pow,
     superfactorial,
 )
@@ -19,26 +17,9 @@ from boolekit.rational_core import (
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
 
-class TestRat:
-    def test_reduces_to_canonical_form(self):
-        assert rat(2, 4) == Fraction(1, 2)
-
-    def test_sign_moves_to_numerator(self):
-        value = rat(3, -6)
-        assert value == Fraction(-1, 2)
-        assert value.denominator == 2
-
-    def test_zero_is_zero_over_one(self):
-        value = rat(0, 5)
-        assert value.numerator == 0
-        assert value.denominator == 1
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            rat(1, 0)
-
-    def test_integer_default_denominator(self):
-        assert rat(7) == Fraction(7)
+def is_canonical(value):
+    """Reduced form with a positive denominator."""
+    return value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
 
 
 class TestParseFormat:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boolekit.vandermonde as vandermonde
+from boolekit.rational_core import rat_pow
 from boolekit.vandermonde import (
     ArithmeticNodes,
     ExactMatrix,
@@ -97,6 +99,29 @@ class TestArithmeticNodes:
         assert len(set(values)) == n + 1
         collapsed = ArithmeticNodes(a, Fraction(0), n).values()
         assert len(set(collapsed)) == 1
+
+    @given(
+        small_rationals,
+        small_rationals,
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=8),
+    )
+    @example(Fraction(0), Fraction(2, 3), 4, 5)
+    @example(Fraction(-5, 4), Fraction(0), 3, 4)
+    @example(Fraction(0), Fraction(0), 2, 3)
+    def test_integer_powers_are_the_scaled_node_powers(self, a, b, n, m_max):
+        nodes = ArithmeticNodes(a, b, n)
+        scale, step, powers = nodes.integer_powers(m_max)
+        assert scale == math.lcm(a.denominator, b.denominator)
+        assert step == b * scale
+        assert len(powers) == m_max + 1
+        for m, row in enumerate(powers):
+            assert all(type(entry) is int for entry in row)
+            assert row == [rat_pow(node, m) * scale**m for node in nodes.values()]
+
+    def test_integer_powers_reject_a_negative_exponent(self):
+        with pytest.raises(ValueError):
+            ArithmeticNodes(Fraction(1), Fraction(1), 2).integer_powers(-1)
 
 
 class TestExactMatrix:
