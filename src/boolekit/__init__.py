@@ -7,7 +7,6 @@ identities with zero tolerance against independent oracles.
 
 from .boole_identity import (
     CaseResult,
-    IdentityCase,
     VerificationReport,
     boole_sum,
     closed_form_solution,
@@ -66,7 +65,6 @@ __all__ = [
     "det_bareiss",
     "cramer_numerators",
     "solve_exact",
-    "IdentityCase",
     "CaseResult",
     "VerificationReport",
     "closed_form_solution",

@@ -16,8 +16,8 @@ independent routes so that a bug in one route cannot silently confirm itself:
   solver and the closed-form determinant ratios must reproduce every
   component.
 
-The verify_* sweeps return in-memory reports; serialization is the cli
-module's concern.
+The verify_* sweeps return in-memory reports of flat CaseResult records, one
+per checked case; serialization is the cli module's concern.
 """
 
 from __future__ import annotations
@@ -37,40 +37,29 @@ from .vandermonde import (
 )
 
 
-class IdentityCase(namedtuple("IdentityCase", "n m a b")):
-    """One (n, m) instance of an identity at parameters (a, b).
+class CaseResult(namedtuple("CaseResult", "n m a b lhs rhs passed")):
+    """Both sides of one checked (n, m) case of an identity at parameters (a, b).
 
     For generalized-sum cases m <= n holds (the closed form is only stated
     there); Stirling-relation cases use the full grid, and Cramer component
-    checks reuse the m slot for the component index k.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, m: int, a: Rational, b: Rational) -> "IdentityCase":
-        if n < 0 or m < 0:
-            raise ValueError(f"n and m must be >= 0, got n={n} m={m}")
-        a = a if isinstance(a, Fraction) else Fraction(a)
-        b = b if isinstance(b, Fraction) else Fraction(b)
-        return tuple.__new__(cls, (n, m, a, b))
-
-
-class CaseResult(namedtuple("CaseResult", "case lhs rhs passed")):
-    """Both sides of one checked case.
-
-    ``passed`` is not always just ``lhs == rhs``: sweeps that consult a third
-    route (the difference table in the Stirling sweep, the Cramer ratio in
-    the component sweep) fold that route's agreement into ``passed`` as well.
+    checks carry the component index k in m.  ``passed`` is not always just
+    ``lhs == rhs``: sweeps that consult a third route (the difference table
+    in the Stirling sweep, the Cramer ratio in the component sweep) fold that
+    route's agreement into ``passed`` as well.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls, case: IdentityCase, lhs: Rational, rhs: Rational, passed: bool
+        cls, n: int, m: int, a: Rational, b: Rational, lhs: Rational, rhs: Rational, passed: bool
     ) -> "CaseResult":
+        if n < 0 or m < 0:
+            raise ValueError(f"n and m must be >= 0, got n={n} m={m}")
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
         lhs = lhs if isinstance(lhs, Fraction) else Fraction(lhs)
         rhs = rhs if isinstance(rhs, Fraction) else Fraction(rhs)
-        return tuple.__new__(cls, (case, lhs, rhs, passed))
+        return tuple.__new__(cls, (n, m, a, b, lhs, rhs, passed))
 
 
 class VerificationReport(namedtuple("VerificationReport", "results")):
@@ -236,7 +225,7 @@ def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> Verificati
     for n, sums in enumerate(generalized_sums(a, b, n_max)):
         for m, lhs in enumerate(sums):
             rhs = expected_value(a, b, n, m)
-            results.append(CaseResult(IdentityCase(n, m, a, b), lhs, rhs, lhs == rhs))
+            results.append(CaseResult(n, m, a, b, lhs, rhs, lhs == rhs))
     return VerificationReport(tuple(results))
 
 
@@ -248,7 +237,8 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
     direct summation, the Stirling recurrence, and repeated differencing.
     The direct sums (lhs) are (-1)^n times the generalized_sums table at
     (a, b) = (0, 1), the nodes every case is stamped with; one Stirling
-    table (rhs = n! * S(m,n)) and one difference table per m do the rest.
+    table (rhs = n! * S(m,n), an int the record turns into a Fraction) and
+    one difference table per m do the rest.
     """
     partitions = stirling_rows(m_max, n_max)
     differences = [differences_at_zero(m, n_max) for m in range(m_max + 1)]
@@ -260,9 +250,7 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
             direct = -value if n % 2 else value
             scaled = factorial(n) * partitions[m][n]
             passed = direct == scaled and direct == differences[m][n]
-            results.append(
-                CaseResult(IdentityCase(n, m, zero, one), direct, Fraction(scaled), passed)
-            )
+            results.append(CaseResult(n, m, zero, one, direct, scaled, passed))
     return VerificationReport(tuple(results))
 
 
@@ -271,7 +259,7 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
 
     For each k the generic solver's solution (recorded as lhs), the
     signed binomial (-1)^(n-k) * C(n,k) (recorded as rhs), and the ratio of
-    closed-form determinants must coincide; the m slot of each case carries
+    closed-form determinants must coincide; the m field of each case carries
     the component index k.  The generic solver is solve_exact: a p-adic
     solution certified by an exact integer check, with fraction-free
     elimination as the decider of singularity, and no closed form or
@@ -293,5 +281,5 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
         ratio = det_cramer_numerator(n, k, b) / denominator
         expected = Fraction(signed_binomials[k])
         passed = solved[k] == expected and ratio == expected
-        results.append(CaseResult(IdentityCase(n, k, a, b), solved[k], expected, passed))
+        results.append(CaseResult(n, k, a, b, solved[k], expected, passed))
     return VerificationReport(tuple(results))

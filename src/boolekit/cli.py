@@ -16,7 +16,8 @@ Exit codes:
   1  at least one identity or agreement failure, or a singular system
      where a solution was required;
   2  usage error (argparse raises SystemExit(2) itself), an --output path
-     that cannot be written, or a run out of memory (one line on stderr).
+     or a stdout that cannot be written, or a run out of memory (one line on
+     stderr).
 A reader that closes stdout early (``| head``) ends the run quietly with the
 command's own exit code.
 """
@@ -295,8 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
     )
     failures = sum(1 for result in cases if not result.passed)
     rows = [
-        {"n": r.case.n, "m": r.case.m, "a": r.case.a, "b": r.case.b,
-         "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed}
+        {"n": r.n, "m": r.m, "a": r.a, "b": r.b, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed}
         for r in cases
     ]
     record = {
@@ -407,9 +407,9 @@ def cmd_stirling(args: argparse.Namespace) -> Outcome:
     """verify_stirling's three-route grid as a table of S(m,n), n! * S(m,n) and the sum, by m."""
     report = verify_stirling(args.m_max, args.n_max)
     rows = []
-    for r in sorted(report.results, key=lambda result: (result.case.m, result.case.n)):
+    for r in sorted(report.results, key=lambda result: (result.m, result.n)):
         scaled = int(r.rhs)
-        rows.append({"m": r.case.m, "n": r.case.n, "stirling2": scaled // factorial(r.case.n),
+        rows.append({"m": r.m, "n": r.n, "stirling2": scaled // factorial(r.n),
                      "scaled": scaled, "boole_sum": int(r.lhs), "agree": r.passed})
     agree = report.ok
     record = {
@@ -483,8 +483,8 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], Outcome]] = {
 }
 
 
-def _cannot_write(path: str, reason: str) -> int:
-    print(f"boolekit: cannot write --output {path}: {reason}", file=sys.stderr)
+def _cannot_write(target: str, reason: str) -> int:
+    print(f"boolekit: cannot write {target}: {reason}", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -492,21 +492,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Parse flags, run the command, write its document; returns the exit code.
 
     Usage errors do not return: argparse raises SystemExit(2).  An --output
-    path that cannot be written returns EXIT_USAGE with one line on stderr,
-    before the command runs when the path is a directory or its parent
-    directory is missing, after it for failures only the write reveals;
-    a reader that closes stdout early ends the run quietly with the
-    command's own exit code.  A command or rendering out of memory returns
-    EXIT_USAGE with one line on stderr.
+    path or a stdout that cannot be written returns EXIT_USAGE with one line
+    on stderr, before the command runs when the path is a directory, its
+    parent directory is missing or stdout is closed, after it for failures
+    only the write reveals; a reader that closes stdout early ends the run
+    quietly with the command's own exit code.  A command or rendering out of
+    memory returns EXIT_USAGE with one line on stderr.
     """
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_merge_negative_values(raw))
+    destination = "stdout" if args.output is None else f"--output {args.output}"
     if args.output is not None:
         target = Path(args.output)
         if target.is_dir():
-            return _cannot_write(args.output, os.strerror(errno.EISDIR))
+            return _cannot_write(destination, os.strerror(errno.EISDIR))
         if not target.parent.is_dir():
-            return _cannot_write(args.output, os.strerror(errno.ENOENT))
+            return _cannot_write(destination, os.strerror(errno.ENOENT))
+    elif sys.stdout is None:
+        return _cannot_write(destination, os.strerror(errno.EBADF))
     # Exact values can pass the interpreter's limit on int -> str digits (4300 by default);
     # lift it, where it exists, once the flags are parsed, while the command runs and writes.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
@@ -524,15 +527,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             try:
                 Path(args.output).write_text(document + "\n", encoding="utf-8")
             except OSError as exc:
-                return _cannot_write(args.output, exc.strerror or str(exc))
+                return _cannot_write(destination, exc.strerror or str(exc))
             return code
         try:
             print(document, flush=True)
-        except BrokenPipeError:
-            # The reader is gone; point stdout at devnull so the flush at exit is silent too.
+        except OSError as exc:
+            # Point stdout at devnull so the flush at exit is silent too.  A reader that
+            # has gone (EPIPE) is a quiet end; any other failure is reported.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+            if exc.errno != errno.EPIPE:
+                return _cannot_write(destination, exc.strerror or str(exc))
         return code
     except MemoryError:
         pass  # Report below, once leaving the handler has freed the partial tables.

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import boolekit.boole_identity as bi
 from boolekit.boole_identity import (
     CaseResult,
-    IdentityCase,
     VerificationReport,
     boole_sum,
     closed_form_solution,
@@ -306,7 +305,7 @@ class TestVerifyGeneralizedBoole:
 
     def test_cases_ordered_by_order_then_exponent(self):
         report = verify_generalized_boole(Fraction(0), Fraction(1), 4)
-        keys = [(r.case.n, r.case.m) for r in report.results]
+        keys = [(r.n, r.m) for r in report.results]
         assert keys == sorted(keys)
 
     def test_fractional_parameters(self):
@@ -342,7 +341,7 @@ class TestVerifyGeneralizedBoole:
             for m in range(n + 1):
                 lhs = generalized_sum(a, b, n, m)
                 rhs = expected_value(a, b, n, m)
-                cases.append(CaseResult(IdentityCase(n, m, a, b), lhs, rhs, lhs == rhs))
+                cases.append(CaseResult(n, m, a, b, lhs, rhs, lhs == rhs))
         assert verify_generalized_boole(a, b, n_max) == VerificationReport(tuple(cases))
 
     def test_corrupted_expectation_is_caught(self, monkeypatch):
@@ -377,7 +376,7 @@ class TestVerifyStirling:
 
     def test_known_interior_case(self):
         report = verify_stirling(6, 4)
-        matching = [r for r in report.results if r.case.n == 4 and r.case.m == 6]
+        matching = [r for r in report.results if (r.n, r.m) == (4, 6)]
         assert len(matching) == 1
         assert matching[0].lhs == 1560
         assert matching[0].rhs == 24 * 65
@@ -414,9 +413,8 @@ class TestVerifyCramer:
 
 class TestReportStructure:
     def test_counts(self):
-        case = IdentityCase(1, 1, Fraction(0), Fraction(1))
-        good = CaseResult(case, Fraction(1), Fraction(1), True)
-        bad = CaseResult(case, Fraction(1), Fraction(2), False)
+        good = CaseResult(1, 1, Fraction(0), Fraction(1), Fraction(1), Fraction(1), True)
+        bad = CaseResult(1, 1, Fraction(0), Fraction(1), Fraction(1), Fraction(2), False)
         report = VerificationReport((good, bad, good))
         assert report.total == 3
         assert report.failures == 1
@@ -424,26 +422,25 @@ class TestReportStructure:
 
     def test_case_validates_indices(self):
         with pytest.raises(ValueError):
-            IdentityCase(-1, 0, Fraction(0), Fraction(1))
+            CaseResult(-1, 0, Fraction(0), Fraction(1), Fraction(0), Fraction(0), True)
         with pytest.raises(ValueError):
-            IdentityCase(0, -1, Fraction(0), Fraction(1))
+            CaseResult(0, -1, Fraction(0), Fraction(1), Fraction(0), Fraction(0), True)
 
     def test_int_values_become_fractions(self):
         a, lhs = Fraction(1, 2), Fraction(-3, 4)
-        case = IdentityCase(1, 1, a, 2)
-        result = CaseResult(case, lhs, 5, False)
-        assert case.a is a and result.lhs is lhs
-        assert (type(case.b), type(result.rhs)) == (Fraction, Fraction)
-        assert (case.b, result.rhs) == (2, 5)
+        result = CaseResult(1, 1, a, 2, lhs, 5, False)
+        assert result.a is a and result.lhs is lhs
+        assert (type(result.b), type(result.rhs)) == (Fraction, Fraction)
+        assert (result.b, result.rhs) == (2, 5)
 
 
-CASE = IdentityCase(2, 1, Fraction(1, 2), Fraction(-2, 3))
-RESULT = CaseResult(CASE, Fraction(0), Fraction(0), True)
+RESULT = CaseResult(2, 1, Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(0), True)
 
 # Each record type with its field names and one set of field values.
 RECORDS = [
-    pytest.param(IdentityCase, ("n", "m", "a", "b"), tuple(CASE), id="case"),
-    pytest.param(CaseResult, ("case", "lhs", "rhs", "passed"), tuple(RESULT), id="result"),
+    pytest.param(
+        CaseResult, ("n", "m", "a", "b", "lhs", "rhs", "passed"), tuple(RESULT), id="result"
+    ),
     pytest.param(VerificationReport, ("results",), ((RESULT, RESULT),), id="report"),
 ]
 

@@ -507,6 +507,49 @@ class TestBenchCommand:
         assert len(calls) == 5
 
 
+def shifted(value):
+    """value + 1 for a scalar; for a list or tuple, a copy with its middle entry shifted."""
+    if isinstance(value, (list, tuple)):
+        middle = len(value) // 2
+        return type(value)([*value[:middle], shifted(value[middle]), *value[middle + 1:]])
+    return value + 1
+
+
+# (argv, module the command looks the route up in, route names); each route is faulted alone.
+FAULTS = [
+    (["verify", "--a", "1/3", "--b", "2/5"], bi,
+     ["generalized_sums", "expected_value", "solve_exact", "closed_form_solution",
+      "det_cramer_numerator", "det_vandermonde_closed", "stirling_rows", "differences_at_zero"]),
+    (["solve"], cli, ["solve_exact", "closed_form_solution"]),
+    (["det", "--b", "2/5"], cli, ["det_vandermonde_closed", "det_vandermonde_general",
+                                  "cramer_numerators", "det_cramer_numerator",
+                                  "closed_form_solution"]),
+    (["stirling"], bi, ["generalized_sums", "stirling_rows", "differences_at_zero"]),
+    (["bench"], cli, ["det_vandermonde_closed", "det_bareiss"]),
+]
+FAULT_MATRIX = [
+    pytest.param(argv, module, route, id=f"{argv[0]}-{route}")
+    for argv, module, routes in FAULTS
+    for route in routes
+]
+
+
+class TestFaultMatrix:
+    """A fault in any one route fails its command, and the document says so."""
+
+    @pytest.mark.parametrize("argv, module, route", FAULT_MATRIX)
+    def test_faulted_route_fails_the_document(self, capsys, monkeypatch, argv, module, route):
+        genuine = getattr(module, route)
+        monkeypatch.setattr(module, route, lambda *args: shifted(genuine(*args)))
+        code = main([*argv, "--format", "json"])
+        document = json.loads(capsys.readouterr().out)
+        assert code == EXIT_FAILURE
+        if "summary" in document:
+            assert document["summary"]["failures"] > 0
+        else:
+            assert document["agree"] is False
+
+
 @contextlib.contextmanager
 def no_int_digit_limit():
     """Lift the int -> str digit limit, where the interpreter has one, as main does."""
@@ -715,6 +758,25 @@ class TestModuleEntryPoint:
         assert completed.stderr.startswith("boolekit: out of memory")
         assert len(completed.stderr.splitlines()) == 1
         assert "Traceback" not in completed.stderr
+
+    @pytest.mark.parametrize("stdout", ["/dev/full", "closed"])
+    def test_unwritable_stdout_is_a_usage_exit(self, stdout):
+        if stdout == "/dev/full" and not os.path.exists(stdout):
+            pytest.skip("no /dev/full device")
+        argv = [sys.executable, "-m", "boolekit", "verify", "--n-max", "1"]
+        if stdout == "closed":
+            # The child starts with fd 1 closed, so its sys.stdout is None.
+            completed = subprocess.run(
+                argv, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1)
+            )
+        else:
+            with open(stdout, "w") as full:
+                completed = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert completed.returncode == EXIT_USAGE
+        assert completed.stderr.startswith("boolekit: cannot write stdout: ")
+        assert len(completed.stderr.splitlines()) == 1
+        assert "Traceback" not in completed.stderr
+        assert "Exception ignored" not in completed.stderr
 
     def test_closed_stdout_pipe_ends_quietly(self):
         # The document (about 100 kB) outgrows the pipe buffer, so writing the
