@@ -9,9 +9,11 @@ Generic exact routes (pairwise-difference product, fraction-free integer
 elimination) serve as independent cross-checks; cramer_numerators gets the
 determinant and every Cramer numerator from one fraction-free elimination.
 
-solve_exact is generic too: it lifts a p-adic solution modulo one
-word-size prime (Dixon lifting) and returns the reconstructed fractions
-only once an exact integer check certifies them.  Systems whose matrix is
+solve_exact is generic too: it factors the matrix modulo one word-size
+prime, with each row's residues packed into one integer so that every row
+update is a single big-integer multiply-add, lifts a p-adic solution from
+the factors (Dixon lifting) and returns the reconstructed fractions only
+once an exact integer check certifies them.  Systems whose matrix is
 singular modulo that prime go to fraction-free elimination, which alone
 decides that a system is singular.  Both take a LinearSystem or the nodes
 themselves, whose integer rows come from ArithmeticNodes.integer_powers.
@@ -363,28 +365,44 @@ def _factor_mod_prime(rows: list[list[int]], n: int) -> _Factors | None:
     diagonal, upper[i] the entries right of pivot i, and inverse_pivots[i]
     the inverse of pivot i.  Returns None when the block is singular modulo
     _PRIME.  The rows themselves are left untouched.
+
+    Each working row packs its residues into one integer, in slots of
+    width bits, so eliminating a row is one big-integer multiply-add of
+    the reduced pivot row.  Slots are reduced only when read; each update
+    adds less than _PRIME**2 to a slot and a row takes at most n - 1
+    updates, so no slot ever carries into the next.
     """
     prime = _PRIME
-    work = [[entry % prime for entry in row[:n]] for row in rows]
+    width = 2 * prime.bit_length() + n.bit_length() + 1
+    mask = (1 << width) - 1
+    packed = [
+        sum((entry % prime) << (j * width) for j, entry in enumerate(row[:n])) for row in rows
+    ]
     order = list(range(n))
+    lower: list[list[int]] = [[] for _ in range(n)]
+    upper = []
     inverse_pivots = []
     for k in range(n):
-        pivot_row = next((r for r in range(k, n) if work[r][k]), None)
-        if pivot_row is None:
+        heads = [(row >> (k * width) & mask) % prime for row in packed[k:]]
+        found = next((i for i, head in enumerate(heads) if head), None)
+        if found is None:
             return None
-        work[k], work[pivot_row] = work[pivot_row], work[k]
+        heads[0], heads[found] = heads[found], heads[0]
+        pivot_row = k + found
+        packed[k], packed[pivot_row] = packed[pivot_row], packed[k]
         order[k], order[pivot_row] = order[pivot_row], order[k]
-        top = work[k]
-        inverse = pow(top[k], -1, prime)
+        lower[k], lower[pivot_row] = lower[pivot_row], lower[k]
+        inverse = pow(heads[0], -1, prime)
         inverse_pivots.append(inverse)
-        tail = top[k + 1 :]
-        for row in work[k + 1 :]:
-            if row[k]:
-                factor = row[k] * inverse % prime
-                row[k] = factor
-                row[k + 1 :] = [(x - factor * y) % prime for x, y in zip(row[k + 1 :], tail)]
-    lower = [row[:i] for i, row in enumerate(work)]
-    upper = [row[i + 1 :] for i, row in enumerate(work)]
+        top = packed[k]
+        tail = [(top >> (j * width) & mask) % prime for j in range(k + 1, n)]
+        upper.append(tail)
+        reduced = sum(y << (j * width) for j, y in enumerate(tail, k + 1))
+        for i in range(k + 1, n):
+            factor = heads[i - k] * inverse % prime
+            lower[i].append(factor)
+            if factor:
+                packed[i] += (prime - factor) * reduced
     return order, lower, upper, inverse_pivots
 
 
@@ -397,13 +415,15 @@ def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[
     1982).  After every step the expansion is reconstructed as fractions
     and certified over the integers.  Cramer's rule and Hadamard's bound H
     on the augmented rows bound every numerator and the denominator by H,
-    so reconstruction must succeed once _PRIME^k > 2 H^2; failing there is
-    an internal error, never a silent answer.
+    so reconstruction must succeed once _PRIME^k > 2 H^2.  Each row's
+    squared norm is below 2^(2 * max bit length + len(row).bit_length()),
+    so a modulus past last_bits bits passes 2 H^2; failing there is an
+    internal error, never a silent answer.
     """
     prime = _PRIME
     matrix = [row[:n] for row in rows]
     rhs = [row[n] for row in rows]
-    last_modulus = 2 * math.prod(sum(e * e for e in row) for row in rows)
+    last_bits = 1 + sum(2 * max(map(int.bit_length, row)) + len(row).bit_length() for row in rows)
     residual = rhs
     expansion = [0] * n
     modulus = 1
@@ -423,7 +443,7 @@ def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[
                 for row, b in zip(matrix, rhs)
             ):
                 return [Fraction(v, denominator) for v in numerators]
-        if modulus > last_modulus:
+        if modulus.bit_length() > last_bits:
             raise RuntimeError(
                 "p-adic lifting passed Hadamard's bound without a certified solution"
             )

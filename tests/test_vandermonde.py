@@ -477,6 +477,101 @@ def bareiss_route(system):
     return vandermonde._back_substitute(augmented, n)
 
 
+def reference_factor_mod_prime(rows, n):
+    """Row-by-row LU modulo vandermonde._PRIME: the reference for the packed rows."""
+    prime = vandermonde._PRIME
+    work = [[entry % prime for entry in row[:n]] for row in rows]
+    order = list(range(n))
+    inverse_pivots = []
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if work[r][k]), None)
+        if pivot_row is None:
+            return None
+        work[k], work[pivot_row] = work[pivot_row], work[k]
+        order[k], order[pivot_row] = order[pivot_row], order[k]
+        top = work[k]
+        inverse = pow(top[k], -1, prime)
+        inverse_pivots.append(inverse)
+        tail = top[k + 1 :]
+        for row in work[k + 1 :]:
+            if row[k]:
+                factor = row[k] * inverse % prime
+                row[k] = factor
+                row[k + 1 :] = [(x - factor * y) % prime for x, y in zip(row[k + 1 :], tail)]
+    lower = [row[:i] for i, row in enumerate(work)]
+    upper = [row[i + 1 :] for i, row in enumerate(work)]
+    return order, lower, upper, inverse_pivots
+
+
+@st.composite
+def integer_rows(draw, prime):
+    """Augmented integer rows of side 0..9: small values, multiples of prime, near +-10^40."""
+    size = draw(st.integers(min_value=0, max_value=9))
+    entries = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-3, max_value=3).map(lambda m: m * prime),
+        st.integers(min_value=0, max_value=prime - 1),
+        st.tuples(st.sampled_from([-1, 1]), st.integers(min_value=-999, max_value=999)).map(
+            lambda t: t[0] * 10**40 + t[1]
+        ),
+    )
+    row = st.lists(entries, min_size=size + 1, max_size=size + 1)
+    return draw(st.lists(row, min_size=size, max_size=size))
+
+
+class TestFactorModPrime:
+    """Packed-row LU modulo the prime against the row-by-row reference."""
+
+    PRIMES = [vandermonde._PRIME, 2, 5, 7]
+
+    @staticmethod
+    def assert_factors_multiply_back(rows, factors):
+        order, lower, upper, inverse_pivots = factors
+        prime = vandermonde._PRIME
+        n = len(rows)
+        assert sorted(order) == list(range(n))
+        for i in range(n):
+            left = lower[i] + [1] + [0] * (n - i - 1)
+            for j in range(n):
+                product = sum(
+                    left[t] * (pow(inverse_pivots[t], -1, prime) if t == j else upper[t][j - t - 1])
+                    for t in range(min(i, j) + 1)
+                )
+                assert (product - rows[order[i]][j]) % prime == 0
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    @given(st.data())
+    @settings(deadline=None)
+    def test_matches_the_row_by_row_reference(self, prime, data):
+        rows = data.draw(integer_rows(prime))
+        n = len(rows)
+        with mock.patch.object(vandermonde, "_PRIME", prime):
+            factors = vandermonde._factor_mod_prime(rows, n)
+            assert factors == reference_factor_mod_prime(rows, n)
+            if factors is not None:
+                self.assert_factors_multiply_back(rows, factors)
+
+    def test_worst_case_slots_do_not_carry(self):
+        # Side 70 needs the n.bit_length() term of the slot width: residues
+        # p - 1 make every update add nearly p^2 to a slot, 69 times over.
+        prime = vandermonde._PRIME
+        rng = random.Random(70)
+        n = 70
+        rows = [[prime - 1] * (n + 1) for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.randint(1, prime - 1)
+        factors = vandermonde._factor_mod_prime(rows, n)
+        assert factors is not None
+        assert factors == reference_factor_mod_prime(rows, n)
+        self.assert_factors_multiply_back(rows, factors)
+
+    def test_rows_are_left_untouched(self):
+        rows = [[2, 1, 5], [1, 3, -7]]
+        copy = [list(row) for row in rows]
+        vandermonde._factor_mod_prime(rows, 2)
+        assert rows == copy
+
+
 class TestSolvePadic:
     """solve_exact's p-adic route against the Bareiss route it falls back to.
 
@@ -554,3 +649,28 @@ class TestSolvePadic:
         with pytest.raises(RuntimeError, match="Hadamard"):
             solve_exact(system)
         assert 1 <= len(steps) < 40
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            build_system(ArithmeticNodes(Fraction(1, 3), Fraction(2, 7), 4)),
+            build_system(ArithmeticNodes(Fraction(-5, 4), Fraction(9, 8), 12)),
+            LinearSystem(
+                ExactMatrix.from_rows([[Fraction(3), Fraction(1)], [Fraction(1), Fraction(2)]]),
+                (Fraction(10**40 + 1), Fraction(7, 11)),
+            ),
+        ],
+        ids=["power-4", "power-12", "big-rhs"],
+    )
+    def test_lifting_stops_between_hadamard_and_the_bit_bound(self, monkeypatch, system):
+        steps = self.spy(monkeypatch, "_solve_mod_prime")
+        monkeypatch.setattr(vandermonde, "_reconstruct_vector", lambda residues, modulus: None)
+        rows, _ = vandermonde._integer_rows(system)
+        with pytest.raises(RuntimeError, match="Hadamard"):
+            solve_exact(system)
+        hadamard = 2 * math.prod(sum(e * e for e in row) for row in rows)
+        last_bits = 1 + sum(
+            2 * max(e.bit_length() for e in row) + len(row).bit_length() for row in rows
+        )
+        assert vandermonde._PRIME ** len(steps) > hadamard
+        assert len(steps) <= math.ceil(last_bits / 61) + 1
