@@ -9,6 +9,7 @@ from .boole_identity import (
     CaseResult,
     VerificationReport,
     boole_sum,
+    boole_sums,
     closed_form_solution,
     differences_at_zero,
     expected_value,
@@ -69,6 +70,7 @@ __all__ = [
     "VerificationReport",
     "closed_form_solution",
     "boole_sum",
+    "boole_sums",
     "stirling2",
     "stirling_rows",
     "forward_difference_at_zero",

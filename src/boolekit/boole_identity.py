@@ -5,7 +5,7 @@ independent routes so that a bug in one route cannot silently confirm itself:
 
 * the classical alternating sum  sum_k (-1)^(n-k) C(n,k) k^m, which equals
   n! when m = n and 0 when m < n, and more generally n! * S(m,n) with S the
-  Stirling partition numbers;
+  Stirling partition numbers, checked on three int tables;
 * its generalization over arithmetic-progression nodes,
   sum_k (-1)^k C(n,k) (a+bk)^m, equal to (-1)^n b^n n! at m = n and 0 for
   m < n;
@@ -103,6 +103,18 @@ def boole_sum(n: int, m: int) -> int:
     return sum((-1) ** (n - k) * binomial(n, k) * k**m for k in range(n + 1))
 
 
+def boole_sums(n_max: int, m_max: int) -> list[list[int]]:
+    """Int rows [n][m] = boole_sum(n, m) for m = 0..m_max; every row is a fresh list.
+
+    _signed_power_sums of the powers k^m of the nodes k = 0..n_max, odd rows negated.
+    """
+    if n_max < 0 or m_max < 0:
+        raise ValueError(f"n_max and m_max must be >= 0, got n_max={n_max} m_max={m_max}")
+    _, _, powers = ArithmeticNodes(0, 1, n_max).integer_powers(m_max)
+    rows = _signed_power_sums(powers, n_max, m_max)
+    return [list(map(operator.neg, row)) if n % 2 else row for n, row in enumerate(rows)]
+
+
 def stirling_rows(m_max: int, n_max: int) -> list[list[int]]:
     """Stirling partition numbers S(m, 0..n_max) for m = 0..m_max, one row per m.
 
@@ -138,7 +150,7 @@ def differences_at_zero(m: int, n_max: int) -> list[int]:
     values = [j**m for j in range(n_max + 1)]
     heads = [values[0]]
     for _ in range(n_max):
-        values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+        values = list(map(operator.sub, values[1:], values))
         heads.append(values[0])
     return heads
 
@@ -172,22 +184,26 @@ def generalized_sums(
     Every node is a + b*k = (A + B*k)/D, so the one integer table
     (A + B*k)^m of ArithmeticNodes.integer_powers serves every (n, m): each
     entry is one integer dot product with the signed binomials
-    (-1)^k C(n,k), walked row by row of Pascal's triangle, and a single
-    division by D^m.  Every row is a fresh list.
+    (-1)^k C(n,k) from _signed_power_sums, and a single Fraction(total, D^m).
+    Every row is a fresh list.
     """
     if n_max < 0 or (m_max is not None and m_max < 0):
         raise ValueError(f"n_max and m_max must be >= 0, got n_max={n_max} m_max={m_max}")
     nodes = ArithmeticNodes(a, b, n_max)
     scale, _, powers = nodes.integer_powers(n_max if m_max is None else m_max)
+    rows = _signed_power_sums(powers, n_max, m_max)
+    return [[Fraction(total, scale**m) for m, total in enumerate(row)] for row in rows]
+
+
+def _signed_power_sums(powers: list[list[int]], n_max: int, m_max: int | None) -> list[list[int]]:
+    """Fresh int rows [n][m] = sum_k (-1)^k C(n,k) powers[m][k], m = 0..n or m = 0..m_max."""
     rows = []
     signed = [1]
     for n in range(n_max + 1):
         if n:
             signed = list(map(operator.sub, signed + [0], [0] + signed))
         width = n + 1 if m_max is None else m_max + 1
-        rows.append([
-            Fraction(sum(map(operator.mul, signed, powers[m])), scale**m) for m in range(width)
-        ])
+        rows.append([sum(map(operator.mul, signed, powers[m])) for m in range(width)])
     return rows
 
 
@@ -235,22 +251,23 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
     A case passes only if the forward-difference table produces the same
     value as well, so each grid point is a three-way agreement between
     direct summation, the Stirling recurrence, and repeated differencing.
-    The direct sums (lhs) are (-1)^n times the generalized_sums table at
-    (a, b) = (0, 1), the nodes every case is stamped with; one Stirling
-    table (rhs = n! * S(m,n), an int the record turns into a Fraction) and
-    one difference table per m do the rest.
+    The int tables boole_sums (lhs), stirling_rows (rhs = n! * S(m,n), n!
+    once per row) and differences_at_zero give every value; each case makes
+    one Fraction of its sum, shared as rhs when it passes, and carries the
+    nodes (a, b) = (0, 1).
     """
     partitions = stirling_rows(m_max, n_max)
     differences = [differences_at_zero(m, n_max) for m in range(m_max + 1)]
     zero = Fraction(0)
     one = Fraction(1)
     results = []
-    for n, sums in enumerate(generalized_sums(zero, one, n_max, m_max)):
-        for m, value in enumerate(sums):
-            direct = -value if n % 2 else value
-            scaled = factorial(n) * partitions[m][n]
+    for n, sums in enumerate(boole_sums(n_max, m_max)):
+        n_factorial = factorial(n)
+        for m, direct in enumerate(sums):
+            scaled = n_factorial * partitions[m][n]
             passed = direct == scaled and direct == differences[m][n]
-            results.append(CaseResult(n, m, zero, one, direct, scaled, passed))
+            lhs = Fraction(direct)
+            results.append(CaseResult(n, m, zero, one, lhs, lhs if passed else scaled, passed))
     return VerificationReport(tuple(results))
 
 

@@ -9,6 +9,7 @@ from boolekit.boole_identity import (
     CaseResult,
     VerificationReport,
     boole_sum,
+    boole_sums,
     closed_form_solution,
     differences_at_zero,
     expected_value,
@@ -200,6 +201,46 @@ class TestDifferencesAtZero:
             differences_at_zero(size, negative)
 
 
+class TestBooleSums:
+    @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=20))
+    @example(0, 0)
+    @example(0, 7)
+    @example(7, 0)
+    @example(3, 12)
+    @settings(deadline=None)
+    def test_entries_match_definitional_sum(self, n_max, m_max):
+        rows = boole_sums(n_max, m_max)
+        assert [len(row) for row in rows] == [m_max + 1] * (n_max + 1)
+        for n, row in enumerate(rows):
+            assert row == [boole_sum(n, m) for m in range(m_max + 1)]
+            assert all(type(value) is int for value in row)
+
+    @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=20))
+    @settings(deadline=None)
+    def test_signed_unit_step_table(self, n_max, m_max):
+        table = generalized_sums(Fraction(0), Fraction(1), n_max, m_max)
+        assert table == [
+            [(-1) ** n * value for value in row] for n, row in enumerate(boole_sums(n_max, m_max))
+        ]
+
+    @given(sizes, sizes, st.data())
+    @settings(deadline=None)
+    def test_rows_are_fresh_lists(self, n_max, m_max, data):
+        rows = boole_sums(n_max, m_max)
+        snapshot = [list(row) for row in rows]
+        n = data.draw(st.integers(min_value=0, max_value=n_max))
+        rows[n][data.draw(st.integers(min_value=0, max_value=m_max))] += 1
+        assert rows[:n] + rows[n + 1 :] == snapshot[:n] + snapshot[n + 1 :]
+        assert boole_sums(n_max, m_max) == snapshot
+
+    @given(negatives, sizes)
+    def test_negative_bound_raises_on_call(self, negative, size):
+        with pytest.raises(ValueError):
+            boole_sums(negative, size)
+        with pytest.raises(ValueError):
+            boole_sums(size, negative)
+
+
 class TestGeneralizedSum:
     def test_diagonal_case(self):
         assert generalized_sum(Fraction(1), Fraction(2), 2, 2) == 8
@@ -381,6 +422,19 @@ class TestVerifyStirling:
         assert matching[0].lhs == 1560
         assert matching[0].rhs == 24 * 65
         assert matching[0].passed
+
+
+    @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
+    @settings(deadline=None, max_examples=30)
+    def test_records_hold_fractions_at_unit_nodes(self, m_max, n_max):
+        results = verify_stirling(m_max, n_max).results
+        assert [(r.n, r.m) for r in results] == [
+            (n, m) for n in range(n_max + 1) for m in range(m_max + 1)
+        ]
+        for r in results:
+            assert type(r.lhs) is Fraction and type(r.rhs) is Fraction
+            assert (r.a, r.b) == (0, 1) and type(r.a) is Fraction and type(r.b) is Fraction
+            assert r.lhs == r.rhs == boole_sum(r.n, r.m) and r.passed
 
 
 class TestVerifyCramer:

@@ -470,8 +470,10 @@ class TestStirlingCommand:
         monkeypatch.setattr(bi, "boole_sum", refuse)
         monkeypatch.setattr(bi, "stirling2", refuse)
         assert not hasattr(cli, "boole_sum") and not hasattr(cli, "stirling_rows")
-        assert run_cli(capsys, "stirling", "--m-max", "7", "--n-max", "5")[0] == EXIT_OK
         assert run_cli(capsys, "verify", "--n-max", "5", "--m-max", "7")[0] == EXIT_OK
+        # The Stirling grid's sums are ints: no Fraction power-sum table is built for it.
+        monkeypatch.setattr(bi, "generalized_sums", refuse)
+        assert run_cli(capsys, "stirling", "--m-max", "7", "--n-max", "5")[0] == EXIT_OK
 
 
 class TestBenchCommand:
@@ -519,12 +521,13 @@ def shifted(value):
 FAULTS = [
     (["verify", "--a", "1/3", "--b", "2/5"], bi,
      ["generalized_sums", "expected_value", "solve_exact", "closed_form_solution",
-      "det_cramer_numerator", "det_vandermonde_closed", "stirling_rows", "differences_at_zero"]),
+      "det_cramer_numerator", "det_vandermonde_closed", "boole_sums", "stirling_rows",
+      "differences_at_zero"]),
     (["solve"], cli, ["solve_exact", "closed_form_solution"]),
     (["det", "--b", "2/5"], cli, ["det_vandermonde_closed", "det_vandermonde_general",
                                   "cramer_numerators", "det_cramer_numerator",
                                   "closed_form_solution"]),
-    (["stirling"], bi, ["generalized_sums", "stirling_rows", "differences_at_zero"]),
+    (["stirling"], bi, ["boole_sums", "stirling_rows", "differences_at_zero"]),
     (["bench"], cli, ["det_vandermonde_closed", "det_bareiss"]),
 ]
 FAULT_MATRIX = [
