@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .rational_core import Rational, binomial, factorial, rat_pow
 from .vandermonde import (
@@ -35,6 +36,9 @@ from .vandermonde import (
     det_vandermonde_closed,
     solve_exact,
 )
+
+# The one zero every vanishing sum and closed form shares; Fractions are immutable.
+_ZERO = Fraction(0)
 
 
 class CaseResult(namedtuple("CaseResult", "n m a b lhs rhs passed")):
@@ -184,15 +188,18 @@ def generalized_sums(
     Every node is a + b*k = (A + B*k)/D, so the one integer table
     (A + B*k)^m of ArithmeticNodes.integer_powers serves every (n, m): each
     entry is one integer dot product with the signed binomials
-    (-1)^k C(n,k) from _signed_power_sums, and a single Fraction(total, D^m).
-    Every row is a fresh list.
+    (-1)^k C(n,k) from _signed_power_sums, and a single Fraction(total, D^m)
+    over the one power D^m of its column m.  Every zero entry is the one
+    shared Fraction(0).  Every row is a fresh list.
     """
     if n_max < 0 or (m_max is not None and m_max < 0):
         raise ValueError(f"n_max and m_max must be >= 0, got n_max={n_max} m_max={m_max}")
-    nodes = ArithmeticNodes(a, b, n_max)
-    scale, _, powers = nodes.integer_powers(n_max if m_max is None else m_max)
+    width = n_max if m_max is None else m_max
+    scale, _, powers = ArithmeticNodes(a, b, n_max).integer_powers(width)
+    scales = list(accumulate(repeat(scale, width), operator.mul, initial=1))
     rows = _signed_power_sums(powers, n_max, m_max)
-    return [[Fraction(total, scale**m) for m, total in enumerate(row)] for row in rows]
+    return [[Fraction(total, power) if total else _ZERO for total, power in zip(row, scales)]
+            for row in rows]
 
 
 def _signed_power_sums(powers: list[list[int]], n_max: int, m_max: int | None) -> list[list[int]]:
@@ -219,7 +226,7 @@ def expected_value(a: Rational, b: Rational, n: int, m: int) -> Rational:
         raise ValueError(f"closed form only covers m <= n, got m={m} n={n}")
     del a
     if m < n:
-        return Fraction(0)
+        return _ZERO
     return (-1) ** n * rat_pow(b, n) * factorial(n)
 
 
@@ -231,7 +238,7 @@ def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> Verificati
     b including 0.  Case (n, m) is also row m of the order-n power-sum
     system with the signed binomials substituted, up to the factor (-1)^n
     on both sides, so the sweep checks every equation of that substitution
-    as well.
+    as well.  A passing case carries its lhs again as rhs.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -241,7 +248,8 @@ def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> Verificati
     for n, sums in enumerate(generalized_sums(a, b, n_max)):
         for m, lhs in enumerate(sums):
             rhs = expected_value(a, b, n, m)
-            results.append(CaseResult(n, m, a, b, lhs, rhs, lhs == rhs))
+            passed = lhs == rhs
+            results.append(CaseResult(n, m, a, b, lhs, lhs if passed else rhs, passed))
     return VerificationReport(tuple(results))
 
 

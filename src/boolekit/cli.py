@@ -6,7 +6,9 @@ table with verification column), bench (closed form vs elimination timing).
 
 Each command computes once and returns a record, its csv rows and lazy text
 lines; main renders the chosen format in one place (json by a small writer over
-one table of scalar forms, csv with the same flag and p/q forms, text as given).
+one table of scalar forms, which renders each distinct scalar once per document
+and the rows of one shape through one template; csv with the same flag and p/q
+forms; text as given).
 Documents go to --output when given, stdout otherwise; every rational
 inside json or csv output uses the canonical "p/q" form so it parses back
 with parse_rational.
@@ -237,18 +239,42 @@ _JSON_SCALARS: dict[type, Callable[[object], str]] = {
 }
 
 
-def _json_document(value: object, indent: str = "\n") -> str:
-    """The text of json.dumps(value, indent=2, default=_frac), for records with str keys."""
+def _json_document(value: object, indent: str = "\n", texts: dict | None = None) -> str:
+    """The text of json.dumps(value, indent=2, default=_frac), for records with str keys.
+
+    Each distinct scalar object is rendered once per document: texts maps its id to
+    its text, which is sound because the record keeps every scalar alive while it
+    renders.  The dicts of a list that have the first item's keys, in its order, and
+    only scalar values share one % template built from those keys.
+    """
+    if texts is None:
+        texts = {}
     kind = type(value)
     if kind in _JSON_SCALARS:
-        return _JSON_SCALARS[kind](value)
+        if id(value) not in texts:
+            texts[id(value)] = _JSON_SCALARS[kind](value)
+        return texts[id(value)]
     inner = indent + "  "
     if kind is dict:
-        items = [f"{_JSON_SCALARS[str](key)}: {_json_document(item, inner)}"
+        items = [f"{_JSON_SCALARS[str](key)}: {_json_document(item, inner, texts)}"
                  for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if kind is list or kind is tuple:
-        items = [_json_document(item, inner) for item in value]
+        keys = list(value[0]) if value and type(value[0]) is dict else []
+        field = inner + "  "
+        template = "{" + field + ("," + field).join(
+            _JSON_SCALARS[str](key).replace("%", "%%") + ": %s" for key in keys
+        ) + inner + "}"
+        items = []
+        for item in value:
+            if (keys and type(item) is dict and list(item) == keys
+                    and _JSON_SCALARS.keys() >= set(map(type, item.values()))):
+                items.append(template % tuple([
+                    texts.get(id(cell)) or _json_document(cell, inner, texts)
+                    for cell in item.values()
+                ]))
+            else:
+                items.append(_json_document(item, inner, texts))
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 

@@ -328,6 +328,12 @@ class TestExpectedValue:
     def test_below_diagonal(self):
         assert expected_value(Fraction(1), Fraction(7, 3), 5, 3) == 0
 
+    @pytest.mark.parametrize("a, b, n, m", [(1, Fraction(7, 3), 5, 3), (0, 0, 1, 0), (-2, 9, 4, 0)])
+    def test_below_diagonal_is_the_canonical_zero(self, a, b, n, m):
+        value = expected_value(Fraction(a), Fraction(b), n, m)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (0, 1)
+
     def test_above_diagonal_rejected(self):
         with pytest.raises(ValueError):
             expected_value(Fraction(0), Fraction(1), 2, 4)
@@ -396,6 +402,27 @@ class TestVerifyGeneralizedBoole:
         report = verify_generalized_boole(Fraction(0), Fraction(1), 4)
         assert report.failures == 1
         assert not report.ok
+
+    def test_corrupted_zero_sum_fails_alone(self, monkeypatch):
+        genuine = bi.generalized_sums
+
+        def shifted(a, b, n_max, m_max=None):
+            rows = genuine(a, b, n_max, m_max)
+            rows[4][1] += 1
+            return rows
+
+        monkeypatch.setattr(bi, "generalized_sums", shifted)
+        report = verify_generalized_boole(Fraction(2, 3), Fraction(-1, 5), 6)
+        assert [(r.n, r.m) for r in report.results if not r.passed] == [(4, 1)]
+        failed = next(r for r in report.results if not r.passed)
+        assert (failed.lhs, failed.rhs) == (1, 0)
+
+    @given(wide_or_zero, wide_or_zero, st.integers(min_value=0, max_value=6))
+    @settings(deadline=None)
+    def test_passing_case_rhs_is_lhs_and_closed_form(self, a, b, n_max):
+        for r in verify_generalized_boole(a, b, n_max).results:
+            assert r.passed
+            assert r.rhs == r.lhs == expected_value(a, b, r.n, r.m)
 
     def test_determinism(self):
         first = verify_generalized_boole(Fraction(1, 2), Fraction(5, 7), 6)

@@ -590,15 +590,31 @@ JSON_RECORDS = st.recursive(
 )
 
 
+# One Fraction object held in several rows; the second row also holds an equal but distinct one.
+SHARED = Fraction(1, 3)
+
+
 class TestJsonDocument:
     @given(record=JSON_RECORDS)
     @example(record={"a": {}, "b": [], "c": [{}, [[]], ({"d": [Fraction(-3), None]},)]})
+    @example(record=[{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+    @example(record=[{"a": 1, "b": 2}, {"a": 3, "b": 4, "c": 5}, {"a": 6}])
+    @example(record=[{"a": 1, "b": [2, {"c": None}]}, {"a": {"d": "%s"}, "b": 3}])
+    @example(record=[{"%s": 1, "%%": "%d"}, {"%s": "%", "%%": 2}])
+    @example(record=[{}, {"a": 1}, {"a": 2}])
+    @example(record=[{"a": Fraction(1, 2)}, {"a": Fraction(3)}, 7, "x", None])
+    @example(record=[
+        {"a": SHARED, "b": SHARED}, {"a": Fraction(1, 3), "b": SHARED}, {"a": Fraction(3), "b": 3}
+    ])
+    @example(record=[{"a": True, "b": 1}, {"a": 1, "b": True}, {"a": False, "b": 0}])
     @settings(deadline=None, max_examples=300)
     def test_same_text_as_the_standard_encoder(self, record):
         with no_int_digit_limit():
             assert _json_document(record) == json.dumps(record, indent=2, default=_frac)
 
-    @pytest.mark.parametrize("value", [1.5, {1, 2}, {"x": [0.5]}, [frozenset()]])
+    @pytest.mark.parametrize(
+        "value", [1.5, {1, 2}, {"x": [0.5]}, [frozenset()], [{"x": 1}, {"x": 0.5}]]
+    )
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
             _json_document(value)
