@@ -13,6 +13,11 @@ Documents go to --output when given, stdout otherwise; every rational
 inside json or csv output uses the canonical "p/q" form so it parses back
 with parse_rational.
 
+A command line that starts with a command name is parsed by that command's
+parser alone.  Only any other command line (no arguments, -h, an unknown
+name, or arguments the command does not take) builds the full parser tree,
+so usage, help and error text read the same either way.
+
 Exit codes:
   0  all checks passed;
   1  at least one identity or agreement failure, or a singular system
@@ -157,56 +162,88 @@ def _add_output_flags(parser: argparse.ArgumentParser, default_format: str = "te
     )
 
 
+def _verify_flags(parser: argparse.ArgumentParser) -> None:
+    _add_node_flags(parser)
+    parser.add_argument("--n-max", type=_natural_arg, default=10, metavar="N",
+                        help="largest order n in the sweep (default 10)")
+    parser.add_argument("--m-max", type=_natural_arg, default=12, metavar="N",
+                        help="largest exponent in the Stirling cross-check grid (default 12)")
+    parser.add_argument("--trials", type=_natural_arg, default=0, metavar="N",
+                        help="extra random (a, b) pairs to sweep (default 0)")
+    parser.add_argument("--seed", type=_natural_arg, default=0, metavar="N",
+                        help="seed for the random pairs (default 0)")
+    _add_output_flags(parser)
+
+
+def _solve_flags(parser: argparse.ArgumentParser) -> None:
+    _add_node_flags(parser)
+    parser.add_argument("--n", type=_natural_arg, default=2, metavar="N",
+                        help="system order; the matrix has side n+1 (default 2)")
+    _add_output_flags(parser)
+
+
+def _det_flags(parser: argparse.ArgumentParser) -> None:
+    _add_node_flags(parser)
+    parser.add_argument("--n", type=_natural_arg, default=2, metavar="N",
+                        help="system order (default 2)")
+    _add_output_flags(parser)
+
+
+def _stirling_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m-max", type=_natural_arg, default=8, metavar="N",
+                        help="largest set size m (default 8)")
+    parser.add_argument("--n-max", type=_natural_arg, default=8, metavar="N",
+                        help="largest block count n (default 8)")
+    _add_output_flags(parser)
+
+
+def _bench_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n-max", type=_positive_arg, default=8, metavar="N",
+                        help="top of the order ladder 1..N (default 8)")
+    parser.add_argument("--seed", type=_natural_arg, default=0, metavar="N",
+                        help="seed for the node parameters (default 0)")
+    _add_output_flags(parser, default_format="csv")
+
+
+# Each command's one-line help and the function that adds its flags, in help order;
+# build_parser and _parse both read this table, so both parse the same flags.
+_FLAGS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "verify": ("sweep the generalized identity, with Cramer and Stirling cross-checks",
+               _verify_flags),
+    "solve": ("solve the power-sum system two independent ways", _solve_flags),
+    "det": ("compare determinant routes and Cramer numerators", _det_flags),
+    "stirling": ("partition-number table with verification column", _stirling_flags),
+    "bench": ("time the closed-form determinant against elimination", _bench_flags),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser and one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="boolekit",
         description="Exact verification of alternating binomial power sums "
         "via Vandermonde systems on arithmetic-progression nodes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser(
-        "verify",
-        help="sweep the generalized identity, with Cramer and Stirling cross-checks",
-    )
-    _add_node_flags(verify)
-    verify.add_argument("--n-max", type=_natural_arg, default=10, metavar="N",
-                        help="largest order n in the sweep (default 10)")
-    verify.add_argument("--m-max", type=_natural_arg, default=12, metavar="N",
-                        help="largest exponent in the Stirling cross-check grid (default 12)")
-    verify.add_argument("--trials", type=_natural_arg, default=0, metavar="N",
-                        help="extra random (a, b) pairs to sweep (default 0)")
-    verify.add_argument("--seed", type=_natural_arg, default=0, metavar="N",
-                        help="seed for the random pairs (default 0)")
-    _add_output_flags(verify)
-
-    solve = sub.add_parser("solve", help="solve the power-sum system two independent ways")
-    _add_node_flags(solve)
-    solve.add_argument("--n", type=_natural_arg, default=2, metavar="N",
-                       help="system order; the matrix has side n+1 (default 2)")
-    _add_output_flags(solve)
-
-    det = sub.add_parser("det", help="compare determinant routes and Cramer numerators")
-    _add_node_flags(det)
-    det.add_argument("--n", type=_natural_arg, default=2, metavar="N",
-                     help="system order (default 2)")
-    _add_output_flags(det)
-
-    stirling = sub.add_parser("stirling", help="partition-number table with verification column")
-    stirling.add_argument("--m-max", type=_natural_arg, default=8, metavar="N",
-                          help="largest set size m (default 8)")
-    stirling.add_argument("--n-max", type=_natural_arg, default=8, metavar="N",
-                          help="largest block count n (default 8)")
-    _add_output_flags(stirling)
-
-    bench = sub.add_parser("bench", help="time the closed-form determinant against elimination")
-    bench.add_argument("--n-max", type=_positive_arg, default=8, metavar="N",
-                       help="top of the order ladder 1..N (default 8)")
-    bench.add_argument("--seed", type=_natural_arg, default=0, metavar="N",
-                       help="seed for the node parameters (default 0)")
-    _add_output_flags(bench, default_format="csv")
-
+    for name, (summary, add_flags) in _FLAGS.items():
+        add_flags(sub.add_parser(name, help=summary))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) gives; a well-formed argv builds one parser.
+
+    That parser has only the named command's flags and the subparser's prog, so
+    its help and errors read the same.  Anything else (no command, -h, an unknown
+    name, or arguments left over) goes through the full tree.
+    """
+    if argv and argv[0] in _FLAGS:
+        parser = argparse.ArgumentParser(prog=f"boolekit {argv[0]}")
+        _FLAGS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _frac(value: Rational) -> str:
@@ -517,16 +554,19 @@ def _cannot_write(target: str, reason: str) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse flags, run the command, write its document; returns the exit code.
 
-    Usage errors do not return: argparse raises SystemExit(2).  An --output
-    path or a stdout that cannot be written returns EXIT_USAGE with one line
-    on stderr, before the command runs when the path is a directory, its
-    parent directory is missing or stdout is closed, after it for failures
-    only the write reveals; a reader that closes stdout early ends the run
-    quietly with the command's own exit code.  A command or rendering out of
-    memory returns EXIT_USAGE with one line on stderr.
+    A well-formed command line is parsed with one parser, the named command's;
+    the full tree is built only when the first argument is not a command or to
+    report what that parser leaves over.  Usage errors do not return: argparse
+    raises SystemExit(2).  An --output path or a stdout that cannot be written
+    returns EXIT_USAGE with one line on stderr, before the command runs when
+    the path is a directory, its parent directory is missing or stdout is
+    closed, after it for failures only the write reveals; a reader that closes
+    stdout early ends the run quietly with the command's own exit code.  A
+    command or rendering out of memory returns EXIT_USAGE with one line on
+    stderr.
     """
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_merge_negative_values(raw))
+    args = _parse(_merge_negative_values(raw))
     destination = "stdout" if args.output is None else f"--output {args.output}"
     if args.output is not None:
         target = Path(args.output)

@@ -161,14 +161,16 @@ def det_vandermonde_general(nodes: Sequence[Rational]) -> Rational:
     """Vandermonde determinant of an arbitrary node list.
 
     Product of node_i - node_j over all pairs j < i; the empty product (one
-    node or none) is 1.
+    node or none) is 1.  The nodes are scaled by their common denominator D,
+    so the product runs over integers and is divided once, by D to the number
+    of pairs.
     """
     values = [Fraction(v) for v in nodes]
-    det = Fraction(1)
-    for i in range(len(values)):
-        for j in range(i):
-            det *= values[i] - values[j]
-    return det
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    pairs = len(scaled) * (len(scaled) - 1) // 2
+    return Fraction(math.prod(x - y for i, x in enumerate(scaled) for y in scaled[:i]),
+                    scale**pairs)
 
 
 def det_vandermonde_closed(n: int, b: Rational) -> Rational:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -732,6 +733,106 @@ class TestArgvFuzz:
         assert "Traceback" not in err.getvalue()
         if code != EXIT_USAGE:
             assert err.getvalue() == ""
+
+
+def parse_outcome(parse, argv):
+    """(namespace or exit status, stdout, stderr) of one parse of argv, as main merges it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = parse(_merge_negative_values(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+EVERY_FLAG = {
+    "verify": ["--a", "1/3", "--b", "-2/5", "--n-max", "4", "--m-max", "6", "--trials", "2",
+               "--seed", "9", "--format", "json", "--output", "report.json"],
+    "solve": ["--a", "7", "--b", "2/9", "--n", "5", "--format", "csv", "--output", "x.csv"],
+    "det": ["--a=-1/2", "--b=3", "--n", "0", "--format", "text", "--output", "det.txt"],
+    "stirling": ["--m-max", "0", "--n-max", "11", "--format", "json", "--output", "s.json"],
+    "bench": ["--n-max", "3", "--seed", "4", "--format", "text", "--output", "b.txt"],
+}
+PARSE_CORPUS = [
+    *([command] for command in EVERY_FLAG),
+    *([command, *flags] for command, flags in EVERY_FLAG.items()),
+    *([command, "-h"] for command in EVERY_FLAG),
+    ["verify", "--help"], ["det", "--he"], ["solve", "--n", "3", "-h", "stray"],
+    ["--help"], ["-h"], [],
+    # Bad values, each reported by the command's own parser.
+    ["verify", "--n-max", "x"], ["solve", "--a", "1/0"], ["solve", "--n", "-3"],
+    ["bench", "--n-max", "0"], ["det", "--format", "xml"], ["stirling", "--m-max"],
+    ["verify", "--n-max", "x", "stray"],
+    # Negative values, folded into their flag, or left bare.
+    ["solve", "--a", "-3/4", "--b", "-2"], ["det", "--b", "-1/3", "--n", "2"],
+    ["verify", "--a", "-", "--b", "1"], ["solve", "--n", "-3/4"],
+    # Abbreviated flags.
+    ["verify", "--n-m", "3", "--tri", "2", "--se", "4", "--fo", "csv"],
+    ["stirling", "--m", "3", "--n", "2"], ["bench", "--n", "2", "--o", "out.csv"],
+    # Unknown flags and stray positionals after a valid command.
+    ["verify", "--bogus"], ["solve", "--n", "3", "-x"], ["det", "--n-maxx", "3"],
+    ["solve", "--n", "3", "stray"], ["det", "stray", "--n", "2"], ["stirling", "1", "2"],
+    ["solve", "--", "--n", "3"], ["solve", "--n", "3", "--"], ["verify", "verify"],
+    # Unknown commands, or a flag where the command goes.
+    ["nope"], ["nope", "--n", "3"], ["Verify"], ["--n", "3", "solve"], ["-x", "det"],
+]
+
+
+class TestOneParser:
+    """main's parse equals the full tree's parse, and a well-formed one builds one parser."""
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_outcome_as_the_full_tree(self, argv):
+        fast = parse_outcome(cli._parse, argv)
+        assert fast == parse_outcome(lambda args: cli.build_parser().parse_args(args), argv)
+        if not isinstance(fast[0], int):
+            assert fast[1:] == ("", "")
+
+    @given(argv=fuzzed_argv())
+    @settings(deadline=None, max_examples=200)
+    def test_fuzzed_argv_same_outcome_as_the_full_tree(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(
+            lambda args: cli.build_parser().parse_args(args), argv
+        )
+
+    def test_every_command_has_flags_and_a_handler(self):
+        assert list(cli._FLAGS) == list(cli._HANDLERS)
+
+    @staticmethod
+    def count_parsers(monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n-max", "2", "--format", "json"],
+        ["solve", "--a", "-3/4", "--n", "3", "--format", "csv"],
+        ["det", "--n", "2"],
+        ["stirling", "--m-max", "3", "--n-max", "2"],
+        ["bench", "--n-max", "1"],
+    ], ids=" ".join)
+    def test_well_formed_command_line_builds_one_parser(self, capsys, monkeypatch, argv):
+        built = self.count_parsers(monkeypatch)
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert built == [f"boolekit {argv[0]}"]
+
+    def test_left_over_arguments_build_the_full_tree(self, capsys, monkeypatch):
+        built = self.count_parsers(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--n", "3", "stray"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "boolekit: error: unrecognized arguments: stray\n"
+        )
+        assert built == ["boolekit solve", "boolekit", *(f"boolekit {name}" for name in cli._FLAGS)]
 
 
 class TestModuleEntryPoint:

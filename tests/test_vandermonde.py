@@ -215,6 +215,24 @@ class TestDetVandermondeGeneral:
         assert det_vandermonde_general([Fraction(7)]) == 1
         assert det_vandermonde_general([]) == 1
 
+    @given(st.lists(st.one_of(st.integers(-60, 60), st.fractions(max_denominator=10**6)),
+                    max_size=9))
+    @example([])
+    @example([Fraction(-5, 3)])
+    @example([7])
+    @example([Fraction(1, 2), Fraction(-2, 9), Fraction(1, 2)])
+    @example([3, Fraction(3), 3])
+    @example([0, 1, 2, 5])
+    @example([Fraction(1, 6), 2, Fraction(-7, 10), -4])
+    def test_matches_pairwise_fraction_product(self, nodes):
+        expected = Fraction(1)
+        for i in range(len(nodes)):
+            for j in range(i):
+                expected *= Fraction(nodes[i]) - Fraction(nodes[j])
+        result = det_vandermonde_general(nodes)
+        assert type(result) is Fraction
+        assert result == expected
+
 
 class TestDetVandermondeClosed:
     def test_unit_step(self):
