@@ -4,11 +4,13 @@ Subcommands: verify (identity sweeps), solve (power-sum system solution two
 ways), det (determinant routes side by side), stirling (partition-number
 table with verification column), bench (closed form vs elimination timing).
 
-Each command computes once and returns a record, its csv rows and lazy text
-lines; main renders the chosen format in one place (json by a small writer over
+Each command computes once and returns a record, its csv Table and lazy text
+lines.  A Table declares the keys of a list of rows once; each row is a tuple of
+values in the order of the keys, so the sweeps' CaseResults are rows as they
+are.  main renders the chosen format in one place: json by a small writer over
 one table of scalar forms, which renders each distinct scalar once per document
-and the rows of one shape through one template; csv with the same flag and p/q
-forms; text as given).
+and every row of a Table through one template built from its keys; csv as the
+Table's keys, then its rows, with the same flag and p/q forms; text as given.
 Documents go to --output when given, stdout otherwise; every rational
 inside json or csv output uses the canonical "p/q" form so it parses back
 with parse_rational.
@@ -43,7 +45,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .boole_identity import (
     CaseResult,
@@ -74,8 +76,16 @@ _COMPONENT_BOUND = 9
 
 _NEGATIVE_RATIONAL = re.compile(r"-\d+(?:/\d+)?$")
 
-# What every command returns: (exit code, json record, csv rows, text lines).
-Outcome = tuple[int, dict, list[dict] | None, Iterable[str]]
+
+class Table(NamedTuple):
+    """Rows of one shape: each row is a tuple of values in the order of keys."""
+
+    keys: tuple[str, ...]
+    rows: list[tuple]
+
+
+# What every command returns: (exit code, json record, csv table, text lines).
+Outcome = tuple[int, dict, Table | None, Iterable[str]]
 
 
 def random_rational(rng: random.Random) -> Rational:
@@ -250,10 +260,6 @@ def _frac(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _plain(value: Rational) -> str:
-    return format_rational(value)
-
-
 def _flag(value: bool) -> str:
     return "true" if value else "false"
 
@@ -279,10 +285,11 @@ _JSON_SCALARS: dict[type, Callable[[object], str]] = {
 def _json_document(value: object, indent: str = "\n", texts: dict | None = None) -> str:
     """The text of json.dumps(value, indent=2, default=_frac), for records with str keys.
 
-    Each distinct scalar object is rendered once per document: texts maps its id to
-    its text, which is sound because the record keeps every scalar alive while it
-    renders.  The dicts of a list that have the first item's keys, in its order, and
-    only scalar values share one % template built from those keys.
+    A Table renders as the list of dicts that pair its keys with each row.  Each
+    distinct scalar object is rendered once per document: texts maps its id to its
+    text, which is sound because the record keeps every scalar alive while it
+    renders.  Every row of a Table goes through one % template built from its keys;
+    a cell that is not a scalar recurses at the row's field indent.
     """
     if texts is None:
         texts = {}
@@ -296,24 +303,18 @@ def _json_document(value: object, indent: str = "\n", texts: dict | None = None)
         items = [f"{_JSON_SCALARS[str](key)}: {_json_document(item, inner, texts)}"
                  for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if kind is list or kind is tuple:
-        keys = list(value[0]) if value and type(value[0]) is dict else []
+    if kind is Table:
         field = inner + "  "
         template = "{" + field + ("," + field).join(
-            _JSON_SCALARS[str](key).replace("%", "%%") + ": %s" for key in keys
-        ) + inner + "}"
-        items = []
-        for item in value:
-            if (keys and type(item) is dict and list(item) == keys
-                    and _JSON_SCALARS.keys() >= set(map(type, item.values()))):
-                items.append(template % tuple([
-                    texts.get(id(cell)) or _json_document(cell, inner, texts)
-                    for cell in item.values()
-                ]))
-            else:
-                items.append(_json_document(item, inner, texts))
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+            _JSON_SCALARS[str](key).replace("%", "%%") + ": %s" for key in value.keys
+        ) + inner + "}" if value.keys else "{}"
+        items = [template % tuple([texts.get(id(cell)) or _json_document(cell, field, texts)
+                                   for cell in row]) for row in value.rows]
+    elif kind is list or kind is tuple:
+        items = [_json_document(item, inner, texts) for item in value]
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
 
 
 def _csv_cell(value: object) -> object:
@@ -321,12 +322,12 @@ def _csv_cell(value: object) -> object:
     return _frac(value) if kind is Fraction else _flag(value) if kind is bool else value
 
 
-def _csv_document(rows: Sequence[dict]) -> str:
-    """Header from the first row's keys, then one line per row (no command has zero rows)."""
+def _csv_document(table: Table) -> str:
+    """The table's keys as the header, then one line per row."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(rows[0])
-    writer.writerows([_csv_cell(value) for value in row.values()] for row in rows)
+    writer.writerow(table.keys)
+    writer.writerows([_csv_cell(value) for value in row] for row in table.rows)
     return buffer.getvalue().rstrip("\n")
 
 
@@ -358,27 +359,24 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         + ("ok" if stirling_report.ok else "FAILED"),
     )
     failures = sum(1 for result in cases if not result.passed)
-    rows = [
-        {"n": r.n, "m": r.m, "a": r.a, "b": r.b, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed}
-        for r in cases
-    ]
+    table = Table(("n", "m", "a", "b", "lhs", "rhs", "pass"), cases)
     record = {
         "command": "verify",
         "params": {"a": args.a, "b": args.b, "n_max": args.n_max, "seed": args.seed},
-        "cases": rows,
+        "cases": table,
         "summary": {"total": len(cases), "failures": failures},
     }
 
     def text() -> Iterator[str]:
-        yield (f"verify sweep: a={_plain(args.a)} b={_plain(args.b)} "
+        yield (f"verify sweep: a={format_rational(args.a)} b={format_rational(args.b)} "
                f"n_max={args.n_max} trials={args.trials} seed={args.seed}")
-        for row in rows:
-            yield (f"n={row['n']} m={row['m']} a={_plain(row['a'])} b={_plain(row['b'])} "
-                   f"lhs={_plain(row['lhs'])} rhs={_plain(row['rhs'])} {_ok(row['pass'])}")
+        for n, m, a, b, lhs, rhs, passed in cases:
+            yield (f"n={n} m={m} a={format_rational(a)} b={format_rational(b)} "
+                   f"lhs={format_rational(lhs)} rhs={format_rational(rhs)} {_ok(passed)}")
         yield from (f"note: {note}" for note in notes)
         yield f"total={len(cases)} failures={failures}"
 
-    return (EXIT_OK if failures == 0 else EXIT_FAILURE), record, rows, text()
+    return (EXIT_OK if failures == 0 else EXIT_FAILURE), record, table, text()
 
 
 def cmd_solve(args: argparse.Namespace) -> Outcome:
@@ -400,22 +398,22 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
         "signed_binomials": binomial_vector,
         "agree": agree,
     }
-    rows = [
-        {"k": k, "eliminated": x, "signed_binomial": y, "agree": x == y}
-        for k, (x, y) in enumerate(zip(eliminated, binomial_vector))
-    ]
+    table = Table(("k", "eliminated", "signed_binomial", "agree"), [
+        (k, x, y, x == y) for k, (x, y) in enumerate(zip(eliminated, binomial_vector))
+    ])
 
     def text() -> Iterator[str]:
-        yield f"power-sum system: a={_plain(args.a)} b={_plain(args.b)} n={args.n}"
+        yield (f"power-sum system: a={format_rational(args.a)} b={format_rational(args.b)} "
+               f"n={args.n}")
         system = build_system(nodes)
         yield "matrix:"
         yield from ("  " + row for row in system.matrix.render().splitlines())
         yield "rhs: " + " ".join(_frac(v) for v in system.rhs)
-        yield "eliminated:       " + " ".join(_plain(x) for x in eliminated)
-        yield "signed binomials: " + " ".join(_plain(x) for x in binomial_vector)
+        yield "eliminated:       " + " ".join(format_rational(x) for x in eliminated)
+        yield "signed binomials: " + " ".join(format_rational(x) for x in binomial_vector)
         yield _agreement(agree)
 
-    return (EXIT_OK if agree else EXIT_FAILURE), record, rows, text()
+    return (EXIT_OK if agree else EXIT_FAILURE), record, table, text()
 
 
 def cmd_det(args: argparse.Namespace) -> Outcome:
@@ -426,15 +424,13 @@ def cmd_det(args: argparse.Namespace) -> Outcome:
     eliminated, substituted_columns = cramer_numerators(nodes)
     agree = closed == pairwise and closed == eliminated
     signed = closed_form_solution(args.n)
-    columns = []
+    columns = Table(("k", "closed", "elimination", "agree"), [])
     for k, substituted in enumerate(substituted_columns):
         numerator = det_cramer_numerator(args.n, k, args.b)
         column_agree = numerator == substituted
         if args.b != 0:
             column_agree = column_agree and numerator / closed == signed[k]
-        columns.append(
-            {"k": k, "closed": numerator, "elimination": substituted, "agree": column_agree}
-        )
+        columns.rows.append((k, numerator, substituted, column_agree))
         agree = agree and column_agree
     record = {
         "command": "det",
@@ -445,52 +441,51 @@ def cmd_det(args: argparse.Namespace) -> Outcome:
         "columns": columns,
         "agree": agree,
     }
-    rows = [
-        {"item": "closed", "value": closed},
-        {"item": "pairwise", "value": pairwise},
-        {"item": "elimination", "value": eliminated},
-        *({"item": f"column_{c['k']}", "value": c["closed"]} for c in columns),
-        {"item": "agree", "value": agree},
-    ]
+    table = Table(("item", "value"), [
+        ("closed", closed),
+        ("pairwise", pairwise),
+        ("elimination", eliminated),
+        *((f"column_{k}", numerator) for k, numerator, _, _ in columns.rows),
+        ("agree", agree),
+    ])
 
     def text() -> Iterator[str]:
-        yield f"determinants: a={_plain(args.a)} b={_plain(args.b)} n={args.n}"
-        yield f"closed form:          {_plain(closed)}"
-        yield f"pairwise product:     {_plain(pairwise)}"
-        yield f"elimination:          {_plain(eliminated)}"
-        for c in columns:
-            yield (f"column k={c['k']}: closed={_plain(c['closed'])} "
-                   f"elimination={_plain(c['elimination'])} {_ok(c['agree'])}")
+        yield f"determinants: a={format_rational(args.a)} b={format_rational(args.b)} n={args.n}"
+        yield f"closed form:          {format_rational(closed)}"
+        yield f"pairwise product:     {format_rational(pairwise)}"
+        yield f"elimination:          {format_rational(eliminated)}"
+        for k, numerator, substituted, column_agree in columns.rows:
+            yield (f"column k={k}: closed={format_rational(numerator)} "
+                   f"elimination={format_rational(substituted)} {_ok(column_agree)}")
         yield _agreement(agree)
 
-    return (EXIT_OK if agree else EXIT_FAILURE), record, rows, text()
+    return (EXIT_OK if agree else EXIT_FAILURE), record, table, text()
 
 
 def cmd_stirling(args: argparse.Namespace) -> Outcome:
     """verify_stirling's three-route grid as a table of S(m,n), n! * S(m,n) and the sum, by m."""
     report = verify_stirling(args.m_max, args.n_max)
-    rows = []
+    factorials = [factorial(n) for n in range(args.n_max + 1)]
+    table = Table(("m", "n", "stirling2", "scaled", "boole_sum", "agree"), [])
     for r in sorted(report.results, key=lambda result: (result.m, result.n)):
         scaled = int(r.rhs)
-        rows.append({"m": r.m, "n": r.n, "stirling2": scaled // factorial(r.n),
-                     "scaled": scaled, "boole_sum": int(r.lhs), "agree": r.passed})
+        table.rows.append((r.m, r.n, scaled // factorials[r.n], scaled, int(r.lhs), r.passed))
     agree = report.ok
     record = {
         "command": "stirling",
         "params": {"m_max": args.m_max, "n_max": args.n_max},
-        "rows": rows,
+        "rows": table,
         "agree": agree,
     }
 
     def text() -> Iterator[str]:
         yield f"stirling table: m_max={args.m_max} n_max={args.n_max}"
         yield "m n S(m,n) n!*S(m,n) alternating_sum ok"
-        for r in rows:
-            yield (f"{r['m']} {r['n']} {r['stirling2']} {r['scaled']} {r['boole_sum']} "
-                   f"{_ok(r['agree'])}")
+        for m, n, stirling2, scaled, boole_sum, row_agree in table.rows:
+            yield f"{m} {n} {stirling2} {scaled} {boole_sum} {_ok(row_agree)}"
         yield _agreement(agree)
 
-    return (EXIT_OK if agree else EXIT_FAILURE), record, rows, text()
+    return (EXIT_OK if agree else EXIT_FAILURE), record, table, text()
 
 
 def _median_time_ns(fn: Callable[[], object]) -> int:
@@ -509,32 +504,32 @@ def cmd_bench(args: argparse.Namespace) -> Outcome:
     the timings themselves are the only nondeterministic output fields.
     """
     rng = random.Random(args.seed)
-    rows = []
+    table = Table(("n", "closed_ns", "bareiss_ns", "agree"), [])
     for n in range(1, args.n_max + 1):
         a = random_rational(rng)
         b = random_rational(rng)
         while b == 0:
             b = random_rational(rng)
         matrix = build_system(ArithmeticNodes(a, b, n)).matrix
-        agree = det_vandermonde_closed(n, b) == det_bareiss(matrix)
+        row_agree = det_vandermonde_closed(n, b) == det_bareiss(matrix)
         closed_ns = _median_time_ns(lambda n=n, b=b: det_vandermonde_closed(n, b))
         bareiss_ns = _median_time_ns(lambda matrix=matrix: det_bareiss(matrix))
-        rows.append({"n": n, "closed_ns": closed_ns, "bareiss_ns": bareiss_ns, "agree": agree})
-    agree = all(row["agree"] for row in rows)
+        table.rows.append((n, closed_ns, bareiss_ns, row_agree))
+    agree = all(row_agree for *_, row_agree in table.rows)
     record = {
         "command": "bench",
         "params": {"n_max": args.n_max, "seed": args.seed},
-        "rows": rows,
+        "rows": table,
         "agree": agree,
     }
 
     def text() -> Iterator[str]:
         yield f"bench: n_max={args.n_max} seed={args.seed}"
         yield "n closed_ns bareiss_ns agree"
-        for r in rows:
-            yield f"{r['n']} {r['closed_ns']} {r['bareiss_ns']} {_flag(r['agree'])}"
+        for n, closed_ns, bareiss_ns, row_agree in table.rows:
+            yield f"{n} {closed_ns} {bareiss_ns} {_flag(row_agree)}"
 
-    return (EXIT_OK if agree else EXIT_FAILURE), record, rows, text()
+    return (EXIT_OK if agree else EXIT_FAILURE), record, table, text()
 
 
 _HANDLERS: dict[str, Callable[[argparse.Namespace], Outcome]] = {
@@ -559,8 +554,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     report what that parser leaves over.  Usage errors do not return: argparse
     raises SystemExit(2).  An --output path or a stdout that cannot be written
     returns EXIT_USAGE with one line on stderr, before the command runs when
-    the path is a directory, its parent directory is missing or stdout is
-    closed, after it for failures only the write reveals; a reader that closes
+    the path is a directory, its parent is missing or not a directory or stdout
+    is closed, after it for failures only the write reveals; a reader that closes
     stdout early ends the run quietly with the command's own exit code.  A
     command or rendering out of memory returns EXIT_USAGE with one line on
     stderr.
@@ -573,7 +568,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if target.is_dir():
             return _cannot_write(destination, os.strerror(errno.EISDIR))
         if not target.parent.is_dir():
-            return _cannot_write(destination, os.strerror(errno.ENOENT))
+            nearest = next(parent for parent in target.parents if parent.exists())
+            reason = errno.ENOENT if nearest.is_dir() else errno.ENOTDIR
+            return _cannot_write(destination, os.strerror(reason))
     elif sys.stdout is None:
         return _cannot_write(destination, os.strerror(errno.EBADF))
     # Exact values can pass the interpreter's limit on int -> str digits (4300 by default);
@@ -582,11 +579,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code, record, csv_rows, text_lines = _HANDLERS[args.command](args)
+        code, record, table, text_lines = _HANDLERS[args.command](args)
         if args.format == "json":
             document = _json_document(record)
-        elif args.format == "csv" and csv_rows is not None:
-            document = _csv_document(csv_rows)
+        elif args.format == "csv" and table is not None:
+            document = _csv_document(table)
         else:
             document = "\n".join(text_lines)
         if args.output is not None:

@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import csv
+import errno
 import io
 import json
 import os
@@ -22,6 +24,9 @@ from boolekit.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
+    Table,
+    _csv_cell,
+    _csv_document,
     _frac,
     _json_document,
     _merge_negative_values,
@@ -207,20 +212,25 @@ class TestVerifyCommand:
         document = json.loads(target.read_text(encoding="utf-8"))
         assert document["summary"]["total"] == 6
 
-    @pytest.mark.parametrize("target", ["missing/report.txt", "."])
+    @pytest.mark.parametrize(
+        "target", ["missing/report.txt", ".", "afile/report.txt", "afile/sub/report.txt"]
+    )
     def test_unwritable_output_is_a_usage_error(self, capsys, monkeypatch, tmp_path, target):
         def never(args):
             raise AssertionError("the command ran before --output was checked")
 
         # The path is checked before the command runs, so a huge order costs nothing.
         monkeypatch.setitem(cli._HANDLERS, "verify", never)
+        (tmp_path / "afile").write_text("a regular file, not a directory\n")
         code = main(
             ["verify", "--n-max", "99999999999999999999", "--output", str(tmp_path / target)]
         )
         captured = capsys.readouterr()
+        reason = {"missing": errno.ENOENT, ".": errno.EISDIR, "afile": errno.ENOTDIR}
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("boolekit: cannot write --output ")
+        assert captured.err.endswith(f": {os.strerror(reason[target.split('/')[0]])}\n")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
@@ -619,6 +629,140 @@ class TestJsonDocument:
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
             _json_document(value)
+
+
+@st.composite
+def json_tables(draw):
+    """A Table with unique keys and rows of any json-renderable cells, nested ones too."""
+    keys = tuple(draw(st.lists(JSON_KEYS, unique=True, max_size=4)))
+    return Table(keys, draw(st.lists(st.tuples(*[JSON_RECORDS] * len(keys)), max_size=3)))
+
+
+TABLE_RECORDS = st.recursive(
+    json_tables(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(JSON_KEYS, children, max_size=3),
+    max_leaves=4,
+)
+
+
+def untabled(value):
+    """The record with each Table replaced by the list of dicts that pair its keys with a row."""
+    if type(value) is Table:
+        return [dict(zip(value.keys, map(untabled, row))) for row in value.rows]
+    if type(value) is dict:
+        return {key: untabled(item) for key, item in value.items()}
+    if type(value) in (list, tuple):
+        return [untabled(item) for item in value]
+    return value
+
+
+# Any text but a carriage return or a NUL, which no command writes into a csv cell.
+CSV_TEXT = st.text(st.characters(blacklist_characters="\r\x00"), max_size=5)
+
+
+@st.composite
+def csv_tables(draw):
+    keys = tuple(draw(st.lists(CSV_TEXT, min_size=1, unique=True, max_size=4)))
+    cells = st.fractions() | st.integers() | st.booleans() | CSV_TEXT
+    return Table(keys, draw(st.lists(st.tuples(*[cells] * len(keys)), max_size=4)))
+
+
+class TestTableWriters:
+    """A Table renders as json.dumps renders its rows as dicts, and as csv header plus rows."""
+
+    @given(record=TABLE_RECORDS)
+    @example(record=Table(("a", "b"), []))
+    @example(record=Table((), [(), ()]))
+    @example(record=Table(("a", "b"), [(SHARED, SHARED), (Fraction(1, 3), SHARED)]))
+    @example(record=Table(("a", "b"), [(True, 1), (1, True), (False, 0)]))
+    @example(record=Table(("%s", "%%"), [(1, "%d"), ("%", 2)]))
+    @example(record={"t": Table(("x", "y"), [([1, {"z": None}], {}), ({"w": [SHARED]}, 2)])})
+    @example(record=[Table(("x",), [({"z": [Fraction(1, 2)]},)]), Table(("x",), [([],)]), 3])
+    @settings(deadline=None, max_examples=100)
+    def test_json_same_text_as_the_standard_encoder(self, record):
+        with no_int_digit_limit():
+            expected = json.dumps(untabled(record), indent=2, default=_frac)
+            assert _json_document(record) == expected
+
+    @given(table=csv_tables())
+    @example(table=Table(("", "%s"), [("", True), (Fraction(-3, 4), 0)]))
+    @settings(deadline=None, max_examples=200)
+    def test_csv_header_then_cell_forms(self, table):
+        assert list(csv.reader(io.StringIO(_csv_document(table)))) == [
+            list(table.keys), *([str(_csv_cell(cell)) for cell in row] for row in table.rows)
+        ]
+
+    def test_csv_of_an_empty_table_is_its_header(self):
+        assert _csv_document(Table(("n", "m", "a,b"), [])) == 'n,m,"a,b"'
+
+
+RATIONAL_FLAGS = st.builds(
+    "{}/{}".format, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
+)
+
+
+@st.composite
+def table_argv(draw):
+    """A verify or stirling command line: small orders and trials, rationals in [-9, 9]."""
+    n_max = str(draw(st.integers(min_value=0, max_value=5)))
+    m_max = str(draw(st.integers(min_value=0, max_value=6)))
+    if draw(st.booleans()):
+        return ["stirling", "--m-max", m_max, "--n-max", n_max]
+    return ["verify", "--a", draw(RATIONAL_FLAGS), "--b", draw(RATIONAL_FLAGS),
+            "--n-max", n_max, "--m-max", m_max,
+            "--trials", str(draw(st.integers(min_value=0, max_value=2))),
+            "--seed", str(draw(st.integers(min_value=0, max_value=99)))]
+
+
+def document_of(argv, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", fmt])
+    return code, out.getvalue()
+
+
+def csv_text(value):
+    """The csv form of one json value: p/q strings as they are, true/false, int text."""
+    return ("true" if value else "false") if type(value) is bool else str(value)
+
+
+class TestFormatsAgree:
+    """json, csv and text documents of one command line hold the same rows."""
+
+    @given(argv=table_argv())
+    @example(argv=["verify", "--a", "1/3", "--b", "-2/5", "--n-max", "4", "--m-max", "4",
+                   "--trials", "3", "--seed", "4"])
+    @example(argv=["verify", "--a", "2", "--b", "0", "--n-max", "3", "--m-max", "3"])
+    @example(argv=["stirling", "--m-max", "5", "--n-max", "4"])
+    @example(argv=["stirling", "--m-max", "0", "--n-max", "0"])
+    @settings(deadline=None, max_examples=100)
+    def test_json_csv_and_text_rows_agree(self, argv):
+        (code, json_doc), (csv_code, csv_doc), (text_code, text_doc) = (
+            document_of(argv, fmt) for fmt in ("json", "csv", "text")
+        )
+        assert code == csv_code == text_code
+        rows = json.loads(json_doc)["cases" if argv[0] == "verify" else "rows"]
+        csv_rows = list(csv.DictReader(io.StringIO(csv_doc)))
+        assert csv_rows == [{key: csv_text(value) for key, value in row.items()} for row in rows]
+        lines = text_doc.splitlines()
+        if argv[0] == "verify":
+            case_lines = [line for line in lines if line.startswith("n=")]
+            expected = [
+                f"n={r['n']} m={r['m']} "
+                + " ".join(f"{key}={format_rational(parse_rational(r[key]))}"
+                           for key in ("a", "b", "lhs", "rhs"))
+                + (" ok" if r["pass"] else " FAIL")
+                for r in rows
+            ]
+        else:
+            case_lines = lines[2:-1]
+            expected = [
+                f"{r['m']} {r['n']} {r['stirling2']} {r['scaled']} {r['boole_sum']} "
+                + ("ok" if r["agree"] else "FAIL")
+                for r in rows
+            ]
+        assert case_lines == expected
 
 
 class TestJsonRoute:
