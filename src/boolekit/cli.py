@@ -7,13 +7,13 @@ table with verification column), bench (closed form vs elimination timing).
 Each command computes once and returns a record, its csv Table and lazy text
 lines.  A Table declares the keys of a list of rows once; each row is a tuple of
 values in the order of the keys, so the sweeps' CaseResults are rows as they
-are.  main renders the chosen format in one place: json by a small writer over
-one table of scalar forms, which renders each distinct scalar once per document
-and every row of a Table through one template built from its keys; csv as the
-Table's keys, then its rows, with the same flag and p/q forms; text as given.
-Documents go to --output when given, stdout otherwise; every rational
-inside json or csv output uses the canonical "p/q" form so it parses back
-with parse_rational.
+are.  One table gives the json and csv forms of each scalar type.  The json
+writer renders each distinct scalar once per document and every row of a Table
+through one template built from its keys; csv is the Table's keys, then its
+rows; text is as given.  main opens the destination (--output, else stdout)
+before the command runs and writes the chosen format to it once.  Every rational
+inside json or csv output uses the canonical "p/q" form so it parses back with
+parse_rational.
 
 A command line that starts with a command name is parsed by that command's
 parser alone.  Only any other command line (no arguments, -h, an unknown
@@ -44,7 +44,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .boole_identity import (
@@ -272,14 +271,16 @@ def _agreement(value: bool) -> str:
     return "agreement: " + ("yes" if value else "NO")
 
 
-# The json text of each scalar type a record holds; _json_document rejects any other type.
-_JSON_SCALARS: dict[type, Callable[[object], str]] = {
-    Fraction: lambda value: f'"{value.numerator}/{value.denominator}"',
-    bool: _flag,
-    int: int.__repr__,
-    str: json.encoder.encode_basestring_ascii,
-    type(None): lambda value: "null",
+# The json and csv forms of each scalar type a record holds; both writers read this
+# table, and _json_document rejects any other type.
+_SCALAR_FORMS: dict[type, tuple[Callable[[object], str], Callable[[object], str]]] = {
+    Fraction: (lambda value: f'"{_frac(value)}"', _frac),
+    bool: (_flag, _flag),
+    int: (int.__repr__, int.__repr__),
+    str: (json.encoder.encode_basestring_ascii, str),
+    type(None): (lambda value: "null", lambda value: ""),
 }
+_json_str = _SCALAR_FORMS[str][0]
 
 
 def _json_document(value: object, indent: str = "\n", texts: dict | None = None) -> str:
@@ -294,19 +295,19 @@ def _json_document(value: object, indent: str = "\n", texts: dict | None = None)
     if texts is None:
         texts = {}
     kind = type(value)
-    if kind in _JSON_SCALARS:
+    if kind in _SCALAR_FORMS:
         if id(value) not in texts:
-            texts[id(value)] = _JSON_SCALARS[kind](value)
+            texts[id(value)] = _SCALAR_FORMS[kind][0](value)
         return texts[id(value)]
     inner = indent + "  "
     if kind is dict:
-        items = [f"{_JSON_SCALARS[str](key)}: {_json_document(item, inner, texts)}"
+        items = [f"{_json_str(key)}: {_json_document(item, inner, texts)}"
                  for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if kind is Table:
         field = inner + "  "
         template = "{" + field + ("," + field).join(
-            _JSON_SCALARS[str](key).replace("%", "%%") + ": %s" for key in value.keys
+            _json_str(key).replace("%", "%%") + ": %s" for key in value.keys
         ) + inner + "}" if value.keys else "{}"
         items = [template % tuple([texts.get(id(cell)) or _json_document(cell, field, texts)
                                    for cell in row]) for row in value.rows]
@@ -317,17 +318,13 @@ def _json_document(value: object, indent: str = "\n", texts: dict | None = None)
     return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
 
 
-def _csv_cell(value: object) -> object:
-    kind = type(value)
-    return _frac(value) if kind is Fraction else _flag(value) if kind is bool else value
-
-
 def _csv_document(table: Table) -> str:
-    """The table's keys as the header, then one line per row."""
+    """The table's keys as the header, then one line per row of the cells' csv forms."""
+    forms = {kind: csv_form for kind, (_, csv_form) in _SCALAR_FORMS.items()}
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.keys)
-    writer.writerows([_csv_cell(value) for value in row] for row in table.rows)
+    writer.writerows([forms[type(value)](value) for value in row] for row in table.rows)
     return buffer.getvalue().rstrip("\n")
 
 
@@ -547,31 +544,27 @@ def _cannot_write(target: str, reason: str) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Parse flags, run the command, write its document; returns the exit code.
+    """Parse flags, open the destination, run the command, write its document once.
 
     A well-formed command line is parsed with one parser, the named command's;
     the full tree is built only when the first argument is not a command or to
     report what that parser leaves over.  Usage errors do not return: argparse
-    raises SystemExit(2).  An --output path or a stdout that cannot be written
-    returns EXIT_USAGE with one line on stderr, before the command runs when
-    the path is a directory, its parent is missing or not a directory or stdout
-    is closed, after it for failures only the write reveals; a reader that closes
-    stdout early ends the run quietly with the command's own exit code.  A
+    raises SystemExit(2).  The --output file is opened, and so created or
+    truncated, before the command runs, and closed on every path out.  A
+    destination that cannot be opened or written, or a closed stdout, returns
+    EXIT_USAGE with one line on stderr giving the system's reason; a reader that
+    goes early (EPIPE) ends the run quietly with the command's own exit code.  A
     command or rendering out of memory returns EXIT_USAGE with one line on
     stderr.
     """
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parse(_merge_negative_values(raw))
     destination = "stdout" if args.output is None else f"--output {args.output}"
-    if args.output is not None:
-        target = Path(args.output)
-        if target.is_dir():
-            return _cannot_write(destination, os.strerror(errno.EISDIR))
-        if not target.parent.is_dir():
-            nearest = next(parent for parent in target.parents if parent.exists())
-            reason = errno.ENOENT if nearest.is_dir() else errno.ENOTDIR
-            return _cannot_write(destination, os.strerror(reason))
-    elif sys.stdout is None:
+    try:
+        stream = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(destination, exc.strerror)
+    if stream is None:
         return _cannot_write(destination, os.strerror(errno.EBADF))
     # Exact values can pass the interpreter's limit on int -> str digits (4300 by default);
     # lift it, where it exists, once the flags are parsed, while the command runs and writes.
@@ -586,26 +579,27 @@ def main(argv: Sequence[str] | None = None) -> int:
             document = _csv_document(table)
         else:
             document = "\n".join(text_lines)
-        if args.output is not None:
-            try:
-                Path(args.output).write_text(document + "\n", encoding="utf-8")
-            except OSError as exc:
-                return _cannot_write(destination, exc.strerror or str(exc))
-            return code
         try:
-            print(document, flush=True)
+            stream.write(document)
+            stream.write("\n")
+            # A failed flush keeps its data, so a second close would fail again: the
+            # file is closed here, once, and the close in finally is a no-op.
+            stream.flush() if args.output is None else stream.close()
         except OSError as exc:
-            # Point stdout at devnull so the flush at exit is silent too.  A reader that
-            # has gone (EPIPE) is a quiet end; any other failure is reported.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            if args.output is None:
+                # Point stdout at devnull so the flush at exit is silent too.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+            # A reader that has gone (EPIPE) is a quiet end; any other failure is reported.
             if exc.errno != errno.EPIPE:
                 return _cannot_write(destination, exc.strerror or str(exc))
         return code
     except MemoryError:
         pass  # Report below, once leaving the handler has freed the partial tables.
     finally:
+        if args.output is not None:
+            stream.close()
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     print(f"boolekit: out of memory in {args.command}; choose a smaller order", file=sys.stderr)

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import resource
 import subprocess
 import sys
 import types
+import warnings
 from fractions import Fraction
 
 import jsonschema
@@ -25,7 +27,6 @@ from boolekit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     Table,
-    _csv_cell,
     _csv_document,
     _frac,
     _json_document,
@@ -213,34 +214,72 @@ class TestVerifyCommand:
         assert document["summary"]["total"] == 6
 
     @pytest.mark.parametrize(
-        "target", ["missing/report.txt", ".", "afile/report.txt", "afile/sub/report.txt"]
+        "target",
+        [
+            "missing/report.txt", ".", "afile/report.txt", "afile/sub/report.txt",
+            pytest.param("x" * 300, id="long-name"),
+            pytest.param("x" * 300 + "/report.txt", id="long-middle-component"),
+            "loop/report.txt",
+            pytest.param("", id="empty"),
+        ],
     )
     def test_unwritable_output_is_a_usage_error(self, capsys, monkeypatch, tmp_path, target):
         def never(args):
             raise AssertionError("the command ran before --output was checked")
 
-        # The path is checked before the command runs, so a huge order costs nothing.
+        # The path is opened before the command runs, so a huge order costs nothing.
         monkeypatch.setitem(cli._HANDLERS, "verify", never)
         (tmp_path / "afile").write_text("a regular file, not a directory\n")
-        code = main(
-            ["verify", "--n-max", "99999999999999999999", "--output", str(tmp_path / target)]
-        )
+        (tmp_path / "loop").symlink_to("loop")
+        path = str(tmp_path / target) if target else ""
+        code = main(["verify", "--n-max", "99999999999999999999", "--output", path])
         captured = capsys.readouterr()
-        reason = {"missing": errno.ENOENT, ".": errno.EISDIR, "afile": errno.ENOTDIR}
+        reason = {"missing": errno.ENOENT, ".": errno.EISDIR, "afile": errno.ENOTDIR,
+                  "x" * 300: errno.ENAMETOOLONG, "loop": errno.ELOOP, "": errno.ENOENT}
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("boolekit: cannot write --output ")
         assert captured.err.endswith(f": {os.strerror(reason[target.split('/')[0]])}\n")
         assert captured.err.count("\n") == 1
 
+    @staticmethod
+    def main_closing_files(argv):
+        """main(argv), and the ResourceWarnings of any file it left open."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+            gc.collect()
+        return code, [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     def test_failure_found_only_by_the_write_is_a_usage_error(self, capsys):
-        code = main(["verify", "--n-max", "2", "--output", "/dev/full"])
+        # A short document fails at the close, a long one (about 100 kB) at a write.
+        for orders in (["--n-max", "2"], ["--n-max", "12", "--trials", "30"]):
+            code, unclosed = self.main_closing_files(["verify", *orders, "--output", "/dev/full"])
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE
+            assert captured.out == ""
+            assert captured.err == (
+                f"boolekit: cannot write --output /dev/full: {os.strerror(errno.ENOSPC)}\n"
+            )
+            assert unclosed == []
+
+    def test_out_of_memory_leaves_the_output_file_closed_and_empty(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", exhausted)
+        target = tmp_path / "report.txt"
+        code, unclosed = self.main_closing_files(["verify", "--output", str(target)])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == ""
-        assert captured.err.startswith("boolekit: cannot write --output /dev/full: ")
+        assert captured.err.startswith("boolekit: out of memory in verify")
         assert captured.err.count("\n") == 1
+        assert target.read_text() == ""
+        assert unclosed == []
 
 
 class TestSolveCommand:
@@ -690,7 +729,7 @@ class TestTableWriters:
     @settings(deadline=None, max_examples=200)
     def test_csv_header_then_cell_forms(self, table):
         assert list(csv.reader(io.StringIO(_csv_document(table)))) == [
-            list(table.keys), *([str(_csv_cell(cell)) for cell in row] for row in table.rows)
+            list(table.keys), *([csv_text(cell) for cell in row] for row in table.rows)
         ]
 
     def test_csv_of_an_empty_table_is_its_header(self):
@@ -723,7 +762,9 @@ def document_of(argv, fmt):
 
 
 def csv_text(value):
-    """The csv form of one json value: p/q strings as they are, true/false, int text."""
+    """The csv form of one cell or json value: p/q for a Fraction, true/false, str() otherwise."""
+    if type(value) is Fraction:
+        return f"{value.numerator}/{value.denominator}"
     return ("true" if value else "false") if type(value) is bool else str(value)
 
 
