@@ -266,7 +266,6 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
     """
     partitions = stirling_rows(m_max, n_max)
     differences = [differences_at_zero(m, n_max) for m in range(m_max + 1)]
-    zero = Fraction(0)
     one = Fraction(1)
     results = []
     for n, sums in enumerate(boole_sums(n_max, m_max)):
@@ -275,7 +274,7 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
             scaled = n_factorial * partitions[m][n]
             passed = direct == scaled and direct == differences[m][n]
             lhs = Fraction(direct)
-            results.append(CaseResult(n, m, zero, one, lhs, lhs if passed else scaled, passed))
+            results.append(CaseResult(n, m, _ZERO, one, lhs, lhs if passed else scaled, passed))
     return VerificationReport(tuple(results))
 
 

@@ -133,19 +133,11 @@ def _merge_negative_values(argv: Sequence[str]) -> list[str]:
     it to its flag with "=" sidesteps that without touching any other token.
     """
     merged: list[str] = []
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if (
-            token in ("--a", "--b")
-            and index + 1 < len(argv)
-            and _NEGATIVE_RATIONAL.fullmatch(argv[index + 1])
-        ):
-            merged.append(f"{token}={argv[index + 1]}")
-            index += 2
+    for token in argv:
+        if merged and merged[-1] in ("--a", "--b") and _NEGATIVE_RATIONAL.fullmatch(token):
+            merged[-1] += "=" + token
         else:
             merged.append(token)
-            index += 1
     return merged
 
 
@@ -184,17 +176,10 @@ def _verify_flags(parser: argparse.ArgumentParser) -> None:
     _add_output_flags(parser)
 
 
-def _solve_flags(parser: argparse.ArgumentParser) -> None:
+def _order_flags(parser: argparse.ArgumentParser) -> None:
     _add_node_flags(parser)
     parser.add_argument("--n", type=_natural_arg, default=2, metavar="N",
                         help="system order; the matrix has side n+1 (default 2)")
-    _add_output_flags(parser)
-
-
-def _det_flags(parser: argparse.ArgumentParser) -> None:
-    _add_node_flags(parser)
-    parser.add_argument("--n", type=_natural_arg, default=2, metavar="N",
-                        help="system order (default 2)")
     _add_output_flags(parser)
 
 
@@ -219,8 +204,8 @@ def _bench_flags(parser: argparse.ArgumentParser) -> None:
 _FLAGS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
     "verify": ("sweep the generalized identity, with Cramer and Stirling cross-checks",
                _verify_flags),
-    "solve": ("solve the power-sum system two independent ways", _solve_flags),
-    "det": ("compare determinant routes and Cramer numerators", _det_flags),
+    "solve": ("solve the power-sum system two independent ways", _order_flags),
+    "det": ("compare determinant routes and Cramer numerators", _order_flags),
     "stirling": ("partition-number table with verification column", _stirling_flags),
     "bench": ("time the closed-form determinant against elimination", _bench_flags),
 }
@@ -339,21 +324,14 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
     cases: list[CaseResult] = []
     for a, b in pairs:
         cases.extend(verify_generalized_boole(a, b, args.n_max).results)
-    zero_steps = sum(1 for _, b in pairs if b == 0)
-    cramer_pairs = len(pairs) - zero_steps
-    cramer_passed = 0
-    for a, b in pairs:
-        if b != 0:
-            component_report = verify_cramer(a, b, args.n_max)
-            cramer_passed += component_report.ok
-            cases.extend(r for r in component_report.results if not r.passed)
-    stirling_report = verify_stirling(args.m_max, args.n_max)
-    cases.extend(r for r in stirling_report.results if not r.passed)
+    cramer = [verify_cramer(a, b, args.n_max) for a, b in pairs if b != 0]
+    stirling = verify_stirling(args.m_max, args.n_max)
+    cases.extend(r for report in (*cramer, stirling) for r in report.results if not r.passed)
     notes = (
-        f"cramer component checks passed for {cramer_passed} of {cramer_pairs} "
-        f"pair(s) at n = {args.n_max}, skipped for {zero_steps} pair(s) with b = 0",
+        f"cramer component checks passed for {sum(r.ok for r in cramer)} of {len(cramer)} "
+        f"pair(s) at n = {args.n_max}, skipped for {len(pairs) - len(cramer)} pair(s) with b = 0",
         f"stirling grid m <= {args.m_max}, n <= {args.n_max}: "
-        + ("ok" if stirling_report.ok else "FAILED"),
+        + ("ok" if stirling.ok else "FAILED"),
     )
     failures = sum(1 for result in cases if not result.passed)
     table = Table(("n", "m", "a", "b", "lhs", "rhs", "pass"), cases)

@@ -25,7 +25,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .rational_core import Rational, factorial, format_rational, rat_pow, superfactorial
 
@@ -53,11 +53,8 @@ class ArithmeticNodes(namedtuple("ArithmeticNodes", "a b n")):
         b = b if isinstance(b, Fraction) else Fraction(b)
         return tuple.__new__(cls, (a, b, n))
 
-    def node(self, i: int) -> Rational:
-        return self.a + i * self.b
-
     def values(self) -> list[Rational]:
-        return [self.node(i) for i in range(self.n + 1)]
+        return [self.a + i * self.b for i in range(self.n + 1)]
 
     def integer_powers(self, m_max: int) -> tuple[int, int, list[list[int]]]:
         """(D, B, powers) with powers[m][k] = (A + B*k)^m for m = 0..m_max, k = 0..n.
@@ -279,18 +276,14 @@ def _integer_rows(system: LinearSystem | ArithmeticNodes) -> tuple[list[list[int
     its lcm, since gcd(A, B, D) = 1.
     """
     if not isinstance(system, ArithmeticNodes):
-        return _clear_rows(_augmented_rows(system))
+        matrix = system.matrix
+        return _clear_rows(matrix.row(i) + (system.rhs[i],) for i in range(matrix.rows))
     n = system.n
     scale, step, rows = system.integer_powers(n)
     for row in rows:
         row.append(0)
     rows[n][n + 1] = step**n * factorial(n)
     return rows, scale ** (n * (n + 1) // 2)
-
-
-def _augmented_rows(system: LinearSystem) -> Iterator[tuple[Rational, ...]]:
-    """Each matrix row with its right-hand-side entry appended."""
-    return (system.matrix.row(i) + (system.rhs[i],) for i in range(system.matrix.rows))
 
 
 def _back_substitute(rows: list[list[int]], n: int) -> list[Rational]:

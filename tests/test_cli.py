@@ -4,6 +4,7 @@ import csv
 import errno
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -105,6 +106,31 @@ class TestArgvPreprocessing:
     def test_non_numeric_dash_token_untouched(self):
         assert _merge_negative_values(["--a", "-x"]) == ["--a", "-x"]
 
+    def test_matches_the_lookahead_loop_exhaustively(self):
+        """Every argv of up to 4 tokens over an alphabet of flags, values and lookalikes."""
+
+        def lookahead(argv):
+            merged, index = [], 0
+            while index < len(argv):
+                token = argv[index]
+                if (token in ("--a", "--b") and index + 1 < len(argv)
+                        and cli._NEGATIVE_RATIONAL.fullmatch(argv[index + 1])):
+                    merged.append(f"{token}={argv[index + 1]}")
+                    index += 2
+                else:
+                    merged.append(token)
+                    index += 1
+            return merged
+
+        alphabet = ["--a", "--b", "-3/4", "-2", "3", "--n", "--a=-1", "-x", "--", "verify",
+                    "-0/5", "--b=", "-3/-4"]
+        argvs = [[]]
+        for length in range(1, 5):
+            argvs.extend(list(argv) for argv in itertools.product(alphabet, repeat=length))
+        assert len(argvs) == 30941
+        for argv in argvs:
+            assert _merge_negative_values(argv) == lookahead(argv), argv
+
 
 class TestRandomParameters:
     def test_components_bounded_and_denominator_nonzero(self):
@@ -175,6 +201,28 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "--a", "7", "--b", "0", "--n-max", "6")
         assert code == EXIT_OK
         assert "skipped for 1 pair(s) with b = 0" in out
+
+    def test_one_failing_cramer_pair_is_counted(self, capsys, monkeypatch):
+        genuine = bi.solve_exact
+        calls = []
+
+        def shifted_once(system):
+            solution = genuine(system)
+            calls.append(system)
+            return shifted(solution) if len(calls) == 2 else solution
+
+        monkeypatch.setattr(bi, "solve_exact", shifted_once)
+        code, out = run_cli(capsys, "verify", "--a", "1/3", "--b", "-2/5", "--n-max", "4",
+                            "--m-max", "4", "--trials", "3", "--seed", "4")
+        assert code == EXIT_FAILURE
+        lines = out.splitlines()
+        assert ("note: cramer component checks passed for 2 of 3 pair(s) at n = 4, "
+                "skipped for 1 pair(s) with b = 0") in lines
+        cases = [line for line in lines if line.startswith("n=")]
+        identity_cases = 4 * 15
+        assert len(cases) > identity_cases
+        assert all(line.endswith(" ok") for line in cases[:identity_cases])
+        assert all(line.endswith(" FAIL") for line in cases[identity_cases:])
 
     def test_corrupted_expectation_fails_run(self, capsys, monkeypatch):
         genuine = bi.expected_value

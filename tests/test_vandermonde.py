@@ -458,7 +458,7 @@ class TestIntegerRowsFromNodes:
     def test_rows_and_scale_match_the_cleared_system(self, a, b, n):
         nodes = ArithmeticNodes(a, b, n)
         system = build_system(nodes)
-        expected = vandermonde._clear_rows(vandermonde._augmented_rows(system))
+        expected = vandermonde._integer_rows(system)
         assert vandermonde._integer_rows(nodes) == expected
 
     @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=8))
@@ -490,7 +490,7 @@ class TestIntegerRowsFromNodes:
 def bareiss_route(system):
     """The elimination route of solve_exact: Bareiss, then rational back-substitution."""
     n = system.matrix.rows
-    augmented, _ = vandermonde._clear_rows(vandermonde._augmented_rows(system))
+    augmented, _ = vandermonde._integer_rows(system)
     vandermonde._eliminate(augmented, n)
     return vandermonde._back_substitute(augmented, n)
 
