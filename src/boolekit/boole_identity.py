@@ -30,7 +30,6 @@ from itertools import accumulate, repeat
 from .rational_core import Rational, binomial, factorial, rat_pow
 from .vandermonde import (
     ArithmeticNodes,
-    SingularMatrixError,
     build_system,
     det_cramer_numerator,
     det_vandermonde_closed,
@@ -287,15 +286,11 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
     the component index k.  The generic solver is solve_exact: a p-adic
     solution certified by an exact integer check, with fraction-free
     elimination as the decider of singularity, and no closed form or
-    Vandermonde structure.  Raises ValueError for n < 0, and
-    SingularMatrixError for b = 0 with n >= 1, where the nodes coincide and
-    the system has no unique solution; at n = 0 the system is [1] x = [1].
+    Vandermonde structure.  Raises ValueError for n < 0, and for b = 0 with
+    n >= 1, where the nodes coincide, elimination's SingularMatrixError; at
+    n = 0 the system is [1] x = [1].
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     b = Fraction(b)
-    if b == 0 and n >= 1:
-        raise SingularMatrixError("b = 0 collapses the nodes; the system is singular")
     a = Fraction(a)
     solved = solve_exact(build_system(ArithmeticNodes(a, b, n)))
     signed_binomials = closed_form_solution(n)

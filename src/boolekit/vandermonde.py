@@ -13,10 +13,10 @@ solve_exact is generic too: it factors the matrix modulo one word-size
 prime, with each row's residues packed into one integer so that every row
 update is a single big-integer multiply-add, lifts a p-adic solution from
 the factors (Dixon lifting) and returns the reconstructed fractions only
-once an exact integer check certifies them.  Systems whose matrix is
-singular modulo that prime go to fraction-free elimination, which alone
-decides that a system is singular.  Both take a LinearSystem or the nodes
-themselves, whose integer rows come from ArithmeticNodes.integer_powers.
+once an exact integer check certifies them.  Every system the lifting does
+not certify goes to fraction-free elimination, which alone decides that a
+system is singular.  Both take a LinearSystem or the nodes themselves,
+whose integer rows come from ArithmeticNodes.integer_powers.
 """
 
 from __future__ import annotations
@@ -162,9 +162,7 @@ def det_vandermonde_general(nodes: Sequence[Rational]) -> Rational:
     so the product runs over integers and is divided once, by D to the number
     of pairs.
     """
-    values = [Fraction(v) for v in nodes]
-    scale = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    (scaled,), scale = _clear_rows([[Fraction(v) for v in nodes]])
     pairs = len(scaled) * (len(scaled) - 1) // 2
     return Fraction(math.prod(x - y for i, x in enumerate(scaled) for y in scaled[:i]),
                     scale**pairs)
@@ -228,19 +226,20 @@ def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
     is nonsingular over the rationals, so the certified solution is the
     unique one.
 
-    When the matrix is singular modulo the prime, and only then, the system
-    goes to fraction-free (Bareiss) elimination and rational
-    back-substitution, which decide singularity: SingularMatrixError is
-    raised when some pivot column has no nonzero entry.  For power-sum
-    systems that is exactly the coincident-node case b = 0 with n >= 1.
+    Every system the lifting does not certify (singular modulo the prime,
+    or no candidate certified by Hadamard's bound) goes to fraction-free
+    (Bareiss) elimination and rational back-substitution, which decide
+    singularity: SingularMatrixError is raised when some pivot column has
+    no nonzero entry, for power-sum systems exactly when b = 0 and n >= 1.
     """
     augmented, _ = _integer_rows(system)
     n = len(augmented)
     factors = _factor_mod_prime(augmented, n)
-    if factors is None:
+    solution = None if factors is None else _solve_by_lifting(augmented, n, factors)
+    if solution is None:
         _eliminate(augmented, n)
         return _back_substitute(augmented, n)
-    return _solve_by_lifting(augmented, n, factors)
+    return solution
 
 
 def cramer_numerators(system: LinearSystem | ArithmeticNodes) -> tuple[Rational, list[Rational]]:
@@ -401,7 +400,7 @@ def _factor_mod_prime(rows: list[list[int]], n: int) -> _Factors | None:
     return order, lower, upper, inverse_pivots
 
 
-def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[Rational]:
+def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[Rational] | None:
     """Certified solution of integer augmented rows by Dixon lifting.
 
     Step k solves A y = r modulo _PRIME with the factors, adds _PRIME^k y to
@@ -412,8 +411,8 @@ def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[
     on the augmented rows bound every numerator and the denominator by H,
     so reconstruction must succeed once _PRIME^k > 2 H^2.  Each row's
     squared norm is below 2^(2 * max bit length + len(row).bit_length()),
-    so a modulus past last_bits bits passes 2 H^2; failing there is an
-    internal error, never a silent answer.
+    so a modulus past last_bits bits passes 2 H^2; when no candidate is
+    certified by then, the result is None, never an unchecked answer.
     """
     prime = _PRIME
     matrix = [row[:n] for row in rows]
@@ -439,9 +438,7 @@ def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[
             ):
                 return [Fraction(v, denominator) for v in numerators]
         if modulus.bit_length() > last_bits:
-            raise RuntimeError(
-                "p-adic lifting passed Hadamard's bound without a certified solution"
-            )
+            return None
 
 
 def _solve_mod_prime(rhs: list[int], factors: _Factors) -> list[int]:

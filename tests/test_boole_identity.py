@@ -23,7 +23,13 @@ from boolekit.boole_identity import (
     verify_stirling,
 )
 from boolekit.rational_core import factorial
-from boolekit.vandermonde import ArithmeticNodes, SingularMatrixError, build_system, solve_exact
+from boolekit.vandermonde import (
+    ArithmeticNodes,
+    SingularMatrixError,
+    build_system,
+    det_cramer_numerator,
+    solve_exact,
+)
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 nonzero_rationals = small_rationals.filter(lambda x: x != 0)
@@ -490,6 +496,21 @@ class TestVerifyCramer:
     def test_negative_order_rejected_before_the_step(self, b):
         with pytest.raises(ValueError):
             verify_cramer(Fraction(1), b, -1)
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (generalized_sum, (Fraction(0), Fraction(1), -1, 0)),
+        (expected_value, (Fraction(0), Fraction(1), -1, 0)),
+        (verify_generalized_boole, (Fraction(0), Fraction(1), -1)),
+        (det_cramer_numerator, (-1, 0, Fraction(1))),
+    ],
+    ids=["generalized_sum", "expected_value", "verify_generalized_boole", "det_cramer_numerator"],
+)
+def test_negative_order_rejected(function, args):
+    with pytest.raises(ValueError, match="must be >= 0, got"):
+        function(*args)
 
 
 class TestReportStructure:

@@ -16,7 +16,7 @@ import boolekit.boole_identity as bi
 import boolekit.vandermonde as vandermonde
 from boolekit.boole_identity import generalized_sum, generalized_sums
 from boolekit.cli import EXIT_FAILURE, EXIT_OK, main
-from boolekit.vandermonde import ArithmeticNodes, solve_exact
+from boolekit.vandermonde import ArithmeticNodes, LinearSystem, build_system, solve_exact
 
 COMMANDS = {
     "verify": ["verify", "--a", "1/3", "--b", "2/5", "--n-max", "6", "--m-max", "6",
@@ -76,20 +76,72 @@ def middle_digit_shifted(monkeypatch):
     monkeypatch.setattr(vandermonde, "_solve_mod_prime", shifted)
 
 
+def first_numerator_shifted(monkeypatch):
+    """_reconstruct_vector shifts the first numerator of every candidate it returns by 1."""
+    genuine = vandermonde._reconstruct_vector
+
+    def shifted(residues, modulus):
+        candidate = genuine(residues, modulus)
+        if candidate is None:
+            return None
+        numerators, denominator = candidate
+        return [numerators[0] + 1, *numerators[1:]], denominator
+
+    monkeypatch.setattr(vandermonde, "_reconstruct_vector", shifted)
+
+
+def middle_component_shifted(monkeypatch):
+    """_back_substitute shifts the middle component of every solution it returns by 1."""
+    genuine = vandermonde._back_substitute
+
+    def shifted(rows, n):
+        solution = genuine(rows, n)
+        solution[len(solution) // 2] += 1
+        return solution
+
+    monkeypatch.setattr(vandermonde, "_back_substitute", shifted)
+
+
+def multiplier_negated(monkeypatch):
+    """_factor_mod_prime negates the multiplier lower[2][0] modulo _PRIME."""
+    genuine = vandermonde._factor_mod_prime
+
+    def negated(rows, n):
+        factors = genuine(rows, n)
+        if factors is not None:
+            lower = factors[1]
+            lower[2][0] = -lower[2][0] % vandermonde._PRIME
+        return factors
+
+    monkeypatch.setattr(vandermonde, "_factor_mod_prime", negated)
+
+
 # Exit code of each command under each mutant.  The integer_powers mutant is
 # invisible: every command reads the nodes' powers only through sums and systems
 # that do not depend on the offset.  _signed_power_sums feeds only the identity
-# and Stirling sums; _eliminate runs in det, while solve and verify's Cramer gate
-# solve by p-adic lifting, which does not eliminate.  Under the _solve_mod_prime
-# mutant solve_exact raises (test_shifted_digit_fails_certification), and solve
-# and verify, which call it, do not finish; det and stirling never call it.
+# and Stirling sums.  _eliminate and _back_substitute run in det, while solve and
+# verify's Cramer gate, whose systems all have b != 0, are settled by p-adic
+# lifting, which does not eliminate.  Under the _solve_mod_prime and
+# _reconstruct_vector mutants the certificate rejects every lifted candidate and
+# elimination settles the system.  The _factor_mod_prime mutant is invisible: a
+# power-sum system's right-hand side is zero above its last row, so forward
+# substitution multiplies every multiplier by zero, and the first digit vector
+# is already certified.  test_lifting_mutants_never_change_the_solution shows
+# both on solve_exact; det and stirling never lift.
 FAULT_TABLE = [
     (offset_moved, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK, "stirling": EXIT_OK}),
     (entry_negated, {"verify": EXIT_FAILURE, "solve": EXIT_OK, "det": EXIT_OK,
                      "stirling": EXIT_FAILURE}),
     (last_pivot_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
                           "stirling": EXIT_OK}),
-    (middle_digit_shifted, {"det": EXIT_OK, "stirling": EXIT_OK}),
+    (middle_component_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
+                                "stirling": EXIT_OK}),
+    (middle_digit_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
+                            "stirling": EXIT_OK}),
+    (first_numerator_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
+                               "stirling": EXIT_OK}),
+    (multiplier_negated, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
+                          "stirling": EXIT_OK}),
 ]
 
 
@@ -127,10 +179,28 @@ def test_moved_offset_shows_only_above_the_diagonal(monkeypatch):
                for n in range(n_max + 1) for m in range(n + 1, m_max + 1))
 
 
-def test_shifted_digit_fails_certification(monkeypatch):
-    """No lifted candidate passes the exact check, so the solver gives up loudly."""
-    nodes = ArithmeticNodes(Fraction(1, 3), Fraction(2, 5), 6)
-    solve_exact(nodes)
-    middle_digit_shifted(monkeypatch)
-    with pytest.raises(RuntimeError):
-        solve_exact(nodes)
+NODES = ArithmeticNodes(Fraction(1, 3), Fraction(2, 5), 6)
+# The same matrix with a right-hand side that is nonzero in every row.
+DENSE = LinearSystem(build_system(NODES).matrix, tuple(Fraction(k + 1) for k in range(7)))
+
+
+@pytest.mark.parametrize("mutant, system, eliminations", [
+    pytest.param(middle_digit_shifted, NODES, 1, id="middle_digit_shifted-nodes"),
+    pytest.param(first_numerator_shifted, NODES, 1, id="first_numerator_shifted-nodes"),
+    pytest.param(multiplier_negated, NODES, 0, id="multiplier_negated-nodes"),
+    pytest.param(multiplier_negated, DENSE, 1, id="multiplier_negated-dense"),
+])
+def test_lifting_mutants_never_change_the_solution(monkeypatch, mutant, system, eliminations):
+    """A lifted candidate that fails the exact check goes to one elimination, never out."""
+    genuine = solve_exact(system)
+    mutant(monkeypatch)
+    calls = []
+    eliminate = vandermonde._eliminate
+
+    def counting(rows, n):
+        calls.append(n)
+        return eliminate(rows, n)
+
+    monkeypatch.setattr(vandermonde, "_eliminate", counting)
+    assert solve_exact(system) == genuine
+    assert calls == [7] * eliminations

@@ -659,13 +659,16 @@ class TestSolvePadic:
         assert x == [Fraction(22 * big - 7, 55), Fraction(21 - 11 * big, 55)]
         assert x == bareiss_route(system)
 
-    def test_uncertified_lifting_is_an_error(self, monkeypatch):
-        # Lifting stops at Hadamard's bound and never returns an unchecked answer.
+    def test_uncertified_lifting_goes_to_elimination(self, monkeypatch):
+        # Lifting stops at Hadamard's bound, never returns an unchecked answer,
+        # and leaves the system to one elimination.
         steps = self.spy(monkeypatch, "_solve_mod_prime")
         monkeypatch.setattr(vandermonde, "_reconstruct_vector", lambda residues, modulus: None)
         system = build_system(ArithmeticNodes(Fraction(1, 3), Fraction(2, 7), 4))
-        with pytest.raises(RuntimeError, match="Hadamard"):
-            solve_exact(system)
+        expected = bareiss_route(system)
+        eliminations = self.spy(monkeypatch, "_eliminate")
+        assert solve_exact(system) == expected
+        assert len(eliminations) == 1
         assert 1 <= len(steps) < 40
 
     @pytest.mark.parametrize(
@@ -684,8 +687,10 @@ class TestSolvePadic:
         steps = self.spy(monkeypatch, "_solve_mod_prime")
         monkeypatch.setattr(vandermonde, "_reconstruct_vector", lambda residues, modulus: None)
         rows, _ = vandermonde._integer_rows(system)
-        with pytest.raises(RuntimeError, match="Hadamard"):
-            solve_exact(system)
+        expected = bareiss_route(system)
+        eliminations = self.spy(monkeypatch, "_eliminate")
+        assert solve_exact(system) == expected
+        assert len(eliminations) == 1
         hadamard = 2 * math.prod(sum(e * e for e in row) for row in rows)
         last_bits = 1 + sum(
             2 * max(e.bit_length() for e in row) + len(row).bit_length() for row in rows
