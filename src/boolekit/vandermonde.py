@@ -11,12 +11,16 @@ determinant and every Cramer numerator from one fraction-free elimination.
 
 solve_exact is generic too: it factors the matrix modulo one word-size
 prime, with each row's residues packed into one integer so that every row
-update is a single big-integer multiply-add, lifts a p-adic solution from
-the factors (Dixon lifting) and returns the reconstructed fractions only
-once an exact integer check certifies them.  Every system the lifting does
-not certify goes to fraction-free elimination, which alone decides that a
-system is singular.  Both take a LinearSystem or the nodes themselves,
-whose integer rows come from ArithmeticNodes.integer_powers.
+update is a single big-integer multiply-add, and lifts a p-adic solution
+from the factors (Dixon lifting).  After each lifting step it offers two
+candidates, the integer vector of balanced residues and the balanced
+rational reconstruction, and returns the first that an exact integer check
+certifies; so an integer solution, such as the signed binomials of a
+power-sum system, needs only the steps that cover its largest entry.  Every
+system the lifting does not certify goes to fraction-free elimination,
+which alone decides that a system is singular.  Both take a LinearSystem or
+the nodes themselves, whose integer rows come from
+ArithmeticNodes.integer_powers.
 """
 
 from __future__ import annotations
@@ -403,15 +407,18 @@ def _factor_mod_prime(rows: list[list[int]], n: int) -> _Factors | None:
 def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[Rational] | None:
     """Certified solution of integer augmented rows by Dixon lifting.
 
-    Step k solves A y = r modulo _PRIME with the factors, adds _PRIME^k y to
-    the expansion x and replaces r by (r - A y) / _PRIME, an exact division;
-    so A x = rhs modulo _PRIME^(k+1) throughout (Dixon, Numer. Math. 40,
-    1982).  After every step the expansion is reconstructed as fractions
-    and certified over the integers.  Cramer's rule and Hadamard's bound H
-    on the augmented rows bound every numerator and the denominator by H,
-    so reconstruction must succeed once _PRIME^k > 2 H^2.  Each row's
-    squared norm is below 2^(2 * max bit length + len(row).bit_length()),
-    so a modulus past last_bits bits passes 2 H^2; when no candidate is
+    Step k solves A y = r modulo _PRIME with the factors and adds _PRIME^k y
+    to the expansion x, so A x = rhs modulo _PRIME^(k+1) throughout (Dixon,
+    Numer. Math. 40, 1982).  After every step the expansion is reconstructed
+    twice, with denominator bound 1 (the integer vector of balanced residues)
+    and with the balanced bound isqrt(modulus // 2), and each candidate is
+    certified over the integers; the first certified one is returned.  Only
+    when neither is certified does r become (r - A y) / _PRIME, an exact
+    division, for the next step.  Cramer's rule and Hadamard's bound H on the
+    augmented rows bound every numerator and the denominator by H, so the
+    balanced reconstruction must succeed once _PRIME^k > 2 H^2.  Each row's
+    squared norm is below 2^(2 * max bit length + len(row).bit_length()), so
+    a modulus past last_bits bits passes 2 H^2; when no candidate is
     certified by then, the result is None, never an unchecked answer.
     """
     prime = _PRIME
@@ -425,20 +432,21 @@ def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[
         digits = _solve_mod_prime(residual, factors)
         expansion = [x + modulus * y for x, y in zip(expansion, digits)]
         modulus *= prime
+        for max_denominator in (1, math.isqrt(modulus // 2)):
+            candidate = _reconstruct_vector(expansion, modulus, max_denominator)
+            if candidate is not None:
+                numerators, denominator = candidate
+                if all(
+                    sum(map(operator.mul, row, numerators)) == denominator * b
+                    for row, b in zip(matrix, rhs)
+                ):
+                    return [Fraction(v, denominator) for v in numerators]
+        if modulus.bit_length() > last_bits:
+            return None
         residual = [
             (r - sum(map(operator.mul, row, digits))) // prime
             for r, row in zip(residual, matrix)
         ]
-        candidate = _reconstruct_vector(expansion, modulus)
-        if candidate is not None:
-            numerators, denominator = candidate
-            if all(
-                sum(map(operator.mul, row, numerators)) == denominator * b
-                for row, b in zip(matrix, rhs)
-            ):
-                return [Fraction(v, denominator) for v in numerators]
-        if modulus.bit_length() > last_bits:
-            return None
 
 
 def _solve_mod_prime(rhs: list[int], factors: _Factors) -> list[int]:
@@ -457,15 +465,20 @@ def _solve_mod_prime(rhs: list[int], factors: _Factors) -> list[int]:
     return solution
 
 
-def _reconstruct_vector(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
+def _reconstruct_vector(
+    residues: list[int], modulus: int, max_denominator: int
+) -> tuple[list[int], int] | None:
     """Numerators and one common denominator d with d * x = numerators mod modulus.
 
-    Every numerator and d are at most isqrt(modulus // 2), which makes the
-    answer unique when it exists.  The denominator grows one component at a
-    time: component i is reconstructed from d * x_i, and d absorbs the
-    denominator found.  Returns None when no such vector exists.
+    d is at most max_denominator and every numerator at most
+    (modulus - 1) // (2 * max_denominator), so twice their product stays
+    below the modulus, which makes the answer unique when it exists (Wang's
+    trade-off).  max_denominator = 1 gives the integer vector of balanced
+    residues.  The denominator grows one component at a time: component i is
+    reconstructed from d * x_i, and d absorbs the denominator found.  Returns
+    None when no such vector exists.
     """
-    bound = math.isqrt(modulus // 2)
+    bound = (modulus - 1) // (2 * max_denominator)
     denominator = 1
     for residue in residues:
         scaled = residue * denominator % modulus
@@ -475,7 +488,7 @@ def _reconstruct_vector(residues: list[int], modulus: int) -> tuple[list[int], i
         if found is None:
             return None
         denominator *= found
-        if denominator > bound:
+        if denominator > max_denominator:
             return None
     numerators = []
     for residue in residues:

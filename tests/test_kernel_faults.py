@@ -80,8 +80,8 @@ def first_numerator_shifted(monkeypatch):
     """_reconstruct_vector shifts the first numerator of every candidate it returns by 1."""
     genuine = vandermonde._reconstruct_vector
 
-    def shifted(residues, modulus):
-        candidate = genuine(residues, modulus)
+    def shifted(residues, modulus, max_denominator):
+        candidate = genuine(residues, modulus, max_denominator)
         if candidate is None:
             return None
         numerators, denominator = candidate
@@ -122,12 +122,13 @@ def multiplier_negated(monkeypatch):
 # and Stirling sums.  _eliminate and _back_substitute run in det, while solve and
 # verify's Cramer gate, whose systems all have b != 0, are settled by p-adic
 # lifting, which does not eliminate.  Under the _solve_mod_prime and
-# _reconstruct_vector mutants the certificate rejects every lifted candidate and
-# elimination settles the system.  The _factor_mod_prime mutant is invisible: a
-# power-sum system's right-hand side is zero above its last row, so forward
-# substitution multiplies every multiplier by zero, and the first digit vector
-# is already certified.  test_lifting_mutants_never_change_the_solution shows
-# both on solve_exact; det and stirling never lift.
+# _reconstruct_vector mutants the certificate rejects every lifted candidate,
+# integer or rational, and elimination settles the system.  The
+# _factor_mod_prime mutant is invisible: a power-sum system's right-hand side
+# is zero above its last row, so forward substitution multiplies every
+# multiplier by zero, and the first digit vector is already certified.
+# test_lifting_mutants_never_change_the_solution shows both on solve_exact;
+# det and stirling never lift.
 FAULT_TABLE = [
     (offset_moved, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK, "stirling": EXIT_OK}),
     (entry_negated, {"verify": EXIT_FAILURE, "solve": EXIT_OK, "det": EXIT_OK,
@@ -187,6 +188,7 @@ DENSE = LinearSystem(build_system(NODES).matrix, tuple(Fraction(k + 1) for k in 
 @pytest.mark.parametrize("mutant, system, eliminations", [
     pytest.param(middle_digit_shifted, NODES, 1, id="middle_digit_shifted-nodes"),
     pytest.param(first_numerator_shifted, NODES, 1, id="first_numerator_shifted-nodes"),
+    pytest.param(first_numerator_shifted, DENSE, 1, id="first_numerator_shifted-dense"),
     pytest.param(multiplier_negated, NODES, 0, id="multiplier_negated-nodes"),
     pytest.param(multiplier_negated, DENSE, 1, id="multiplier_negated-dense"),
 ])

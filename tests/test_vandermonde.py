@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boolekit.vandermonde as vandermonde
+from boolekit.boole_identity import closed_form_solution
 from boolekit.rational_core import rat_pow
 from boolekit.vandermonde import (
     ArithmeticNodes,
@@ -659,11 +660,29 @@ class TestSolvePadic:
         assert x == [Fraction(22 * big - 7, 55), Fraction(21 - 11 * big, 55)]
         assert x == bareiss_route(system)
 
+    @pytest.mark.parametrize("n, steps", [(14, 1), (36, 1), (63, 1), (64, 2), (124, 2), (125, 3)])
+    @pytest.mark.parametrize("route", ["nodes", "system"])
+    def test_integer_solution_needs_only_the_steps_its_entries_fill(
+        self, monkeypatch, route, n, steps
+    ):
+        # The signed binomials are certified once the modulus P^k passes twice
+        # the largest, C(n, n // 2): 2 C(63, 31) < P < 2 C(64, 32) and
+        # 2 C(124, 62) < P^2 < 2 C(125, 62).
+        nodes = ArithmeticNodes(Fraction(1, 3), Fraction(2, 5), n)
+        system = nodes if route == "nodes" else build_system(nodes)
+        calls = self.spy(monkeypatch, "_solve_mod_prime")
+        eliminations = self.spy(monkeypatch, "_eliminate")
+        assert solve_exact(system) == closed_form_solution(n)
+        assert len(calls) == steps
+        assert eliminations == []
+
     def test_uncertified_lifting_goes_to_elimination(self, monkeypatch):
         # Lifting stops at Hadamard's bound, never returns an unchecked answer,
         # and leaves the system to one elimination.
         steps = self.spy(monkeypatch, "_solve_mod_prime")
-        monkeypatch.setattr(vandermonde, "_reconstruct_vector", lambda residues, modulus: None)
+        monkeypatch.setattr(
+            vandermonde, "_reconstruct_vector", lambda residues, modulus, max_denominator: None
+        )
         system = build_system(ArithmeticNodes(Fraction(1, 3), Fraction(2, 7), 4))
         expected = bareiss_route(system)
         eliminations = self.spy(monkeypatch, "_eliminate")
@@ -685,7 +704,9 @@ class TestSolvePadic:
     )
     def test_lifting_stops_between_hadamard_and_the_bit_bound(self, monkeypatch, system):
         steps = self.spy(monkeypatch, "_solve_mod_prime")
-        monkeypatch.setattr(vandermonde, "_reconstruct_vector", lambda residues, modulus: None)
+        monkeypatch.setattr(
+            vandermonde, "_reconstruct_vector", lambda residues, modulus, max_denominator: None
+        )
         rows, _ = vandermonde._integer_rows(system)
         expected = bareiss_route(system)
         eliminations = self.spy(monkeypatch, "_eliminate")
