@@ -11,6 +11,7 @@ from .boole_identity import (
     boole_sum,
     boole_sums,
     closed_form_solution,
+    difference_rows,
     differences_at_zero,
     expected_value,
     forward_difference_at_zero,
@@ -75,6 +76,7 @@ __all__ = [
     "stirling_rows",
     "forward_difference_at_zero",
     "differences_at_zero",
+    "difference_rows",
     "generalized_sum",
     "generalized_sums",
     "expected_value",

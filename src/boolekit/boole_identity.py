@@ -140,22 +140,31 @@ def stirling2(m: int, n: int) -> int:
     return stirling_rows(m, n)[m][n]
 
 
-def differences_at_zero(m: int, n_max: int) -> list[int]:
-    """n-fold forward differences of j^m at 0, for n = 0..n_max.
+def difference_rows(m_max: int, n_max: int) -> list[list[int]]:
+    """Rows [m][n] = n-fold forward difference of j^m at 0, for m = 0..m_max, n = 0..n_max.
 
-    Builds the table row j^m for j = 0..n_max, collapses it n_max times by
-    adjacent subtraction, and keeps the head of every row.  A classical
-    identity makes entry n equal to boole_sum(n, m), which is exactly why it
-    serves as an oracle here.
+    Column j of the table holds j^m for every m; each round replaces the
+    columns by the differences of adjacent ones, and the head column after
+    round n gives entry n of every row, so n_max rounds collapse all m_max+1
+    tables at once.  A classical identity makes entry [m][n] equal to
+    boole_sum(n, m), which is exactly why it serves as an oracle here.
+    Every row is a fresh list.
     """
-    if m < 0 or n_max < 0:
-        raise ValueError(f"m and n_max must be >= 0, got m={m} n_max={n_max}")
-    values = [j**m for j in range(n_max + 1)]
-    heads = [values[0]]
+    if m_max < 0 or n_max < 0:
+        raise ValueError(f"m_max and n_max must be >= 0, got m_max={m_max} n_max={n_max}")
+    columns = [list(accumulate(repeat(j, m_max), operator.mul, initial=1))
+               for j in range(n_max + 1)]
+    heads = [columns[0]]
     for _ in range(n_max):
-        values = list(map(operator.sub, values[1:], values))
-        heads.append(values[0])
-    return heads
+        columns = [list(map(operator.sub, after, before))
+                   for before, after in zip(columns, columns[1:])]
+        heads.append(columns[0])
+    return [list(row) for row in zip(*heads)]
+
+
+def differences_at_zero(m: int, n_max: int) -> list[int]:
+    """n-fold forward differences of j^m at 0 for n = 0..n_max, row m of difference_rows."""
+    return difference_rows(m, n_max)[m]
 
 
 def forward_difference_at_zero(m: int, n: int) -> int:
@@ -237,18 +246,21 @@ def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> Verificati
     b including 0.  Case (n, m) is also row m of the order-n power-sum
     system with the signed binomials substituted, up to the factor (-1)^n
     on both sides, so the sweep checks every equation of that substitution
-    as well.  A passing case carries its lhs again as rhs.
+    as well.  A passing case carries its lhs again as rhs.  Both routes give
+    canonical Fractions, so each record is built by CaseResult._make, and the
+    shared zero of both routes passes on identity before any comparison.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     a = Fraction(a)
     b = Fraction(b)
+    make = CaseResult._make
     results = []
     for n, sums in enumerate(generalized_sums(a, b, n_max)):
         for m, lhs in enumerate(sums):
             rhs = expected_value(a, b, n, m)
-            passed = lhs == rhs
-            results.append(CaseResult(n, m, a, b, lhs, lhs if passed else rhs, passed))
+            passed = lhs is rhs or lhs == rhs
+            results.append(make((n, m, a, b, lhs, lhs if passed else rhs, passed)))
     return VerificationReport(tuple(results))
 
 
@@ -258,22 +270,26 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
     A case passes only if the forward-difference table produces the same
     value as well, so each grid point is a three-way agreement between
     direct summation, the Stirling recurrence, and repeated differencing.
-    The int tables boole_sums (lhs), stirling_rows (rhs = n! * S(m,n), n!
-    once per row) and differences_at_zero give every value; each case makes
-    one Fraction of its sum, shared as rhs when it passes, and carries the
-    nodes (a, b) = (0, 1).
+    Three separate int tables give every value: boole_sums (lhs),
+    stirling_rows (n! * S(m,n), n! once per row) and difference_rows.  Each
+    case records its sum as one Fraction (the shared zero when it vanishes)
+    and carries it again as rhs when it passes, or Fraction(n! * S(m,n))
+    when it fails, at the nodes (a, b) = (0, 1).  These values are
+    canonical, so the records are built by CaseResult._make.
     """
     partitions = stirling_rows(m_max, n_max)
-    differences = [differences_at_zero(m, n_max) for m in range(m_max + 1)]
+    differences = difference_rows(m_max, n_max)
     one = Fraction(1)
+    make = CaseResult._make
     results = []
     for n, sums in enumerate(boole_sums(n_max, m_max)):
         n_factorial = factorial(n)
         for m, direct in enumerate(sums):
             scaled = n_factorial * partitions[m][n]
             passed = direct == scaled and direct == differences[m][n]
-            lhs = Fraction(direct)
-            results.append(CaseResult(n, m, _ZERO, one, lhs, lhs if passed else scaled, passed))
+            lhs = Fraction(direct) if direct else _ZERO
+            rhs = lhs if passed else Fraction(scaled)
+            results.append(make((n, m, _ZERO, one, lhs, rhs, passed)))
     return VerificationReport(tuple(results))
 
 
@@ -288,7 +304,8 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
     elimination as the decider of singularity, and no closed form or
     Vandermonde structure.  Raises ValueError for n < 0, and for b = 0 with
     n >= 1, where the nodes coincide, elimination's SingularMatrixError; at
-    n = 0 the system is [1] x = [1].
+    n = 0 the system is [1] x = [1].  The solver and the signed binomials
+    give canonical Fractions, so each record is built by CaseResult._make.
     """
     b = Fraction(b)
     a = Fraction(a)
@@ -300,5 +317,5 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
         ratio = det_cramer_numerator(n, k, b) / denominator
         expected = Fraction(signed_binomials[k])
         passed = solved[k] == expected and ratio == expected
-        results.append(CaseResult(n, k, a, b, solved[k], expected, passed))
+        results.append(CaseResult._make((n, k, a, b, solved[k], expected, passed)))
     return VerificationReport(tuple(results))

@@ -11,6 +11,7 @@ from boolekit.boole_identity import (
     boole_sum,
     boole_sums,
     closed_form_solution,
+    difference_rows,
     differences_at_zero,
     expected_value,
     forward_difference_at_zero,
@@ -177,6 +178,48 @@ class TestStirlingRows:
             stirling_rows(negative, size)
         with pytest.raises(ValueError):
             stirling_rows(size, negative)
+
+
+class TestDifferenceRows:
+    @given(sizes, sizes)
+    @settings(deadline=None, max_examples=40)
+    def test_entries_match_sum_and_scaled_partitions(self, m_max, n_max):
+        rows = difference_rows(m_max, n_max)
+        assert len(rows) == m_max + 1
+        for m, row in enumerate(rows):
+            assert row == [boole_sum(n, m) for n in range(n_max + 1)]
+            assert row == [factorial(n) * stirling2(m, n) for n in range(n_max + 1)]
+
+    @given(sizes, sizes)
+    @settings(deadline=None, max_examples=40)
+    def test_rows_do_not_depend_on_m_max(self, m_max, n_max):
+        rows = difference_rows(m_max, n_max)
+        for m in range(m_max + 1):
+            assert difference_rows(m, n_max) == rows[: m + 1]
+            assert differences_at_zero(m, n_max) == rows[m]
+
+    @given(sizes)
+    def test_shapes_at_zero_bounds(self, size):
+        assert difference_rows(0, size) == [[1] + [0] * size]
+        assert difference_rows(size, 0) == [[1]] + [[0]] * size
+
+    @given(sizes, sizes, st.data())
+    @settings(deadline=None)
+    def test_rows_are_separate_lists(self, m_max, n_max, data):
+        rows = difference_rows(m_max, n_max)
+        snapshot = [list(row) for row in rows]
+        m = data.draw(st.integers(min_value=0, max_value=m_max))
+        n = data.draw(st.integers(min_value=0, max_value=n_max))
+        rows[m][n] += 1
+        assert rows[:m] + rows[m + 1 :] == snapshot[:m] + snapshot[m + 1 :]
+        assert difference_rows(m_max, n_max) == snapshot
+
+    @given(negatives, sizes)
+    def test_negative_bound_raises_on_call(self, negative, size):
+        with pytest.raises(ValueError):
+            difference_rows(negative, size)
+        with pytest.raises(ValueError):
+            difference_rows(size, negative)
 
 
 class TestDifferencesAtZero:
@@ -511,6 +554,91 @@ class TestVerifyCramer:
 def test_negative_order_rejected(function, args):
     with pytest.raises(ValueError, match="must be >= 0, got"):
         function(*args)
+
+
+def _expected_value_plus_one(monkeypatch):
+    genuine = bi.expected_value
+    monkeypatch.setattr(bi, "expected_value", lambda a, b, n, m: genuine(a, b, n, m) + 1)
+
+
+def _stirling_row_three_moved(monkeypatch):
+    genuine = bi.stirling_rows
+
+    def moved(m_max, n_max):
+        rows = genuine(m_max, n_max)
+        rows[3] = [s + 1 for s in rows[3]]
+        return rows
+
+    monkeypatch.setattr(bi, "stirling_rows", moved)
+
+
+def _difference_row_three_moved(monkeypatch):
+    genuine = bi.difference_rows
+
+    def moved(m_max, n_max):
+        rows = genuine(m_max, n_max)
+        rows[3] = [d + 1 for d in rows[3]]
+        return rows
+
+    monkeypatch.setattr(bi, "difference_rows", moved)
+
+
+def _solution_shifted(monkeypatch):
+    genuine = bi.solve_exact
+    monkeypatch.setattr(bi, "solve_exact", lambda system: [x + 1 for x in genuine(system)])
+
+
+# (sweep, arguments, fault or None, failures the fault gives); every record is checked.
+SWEEPS = [
+    pytest.param(verify_generalized_boole, (Fraction(1, 3), Fraction(-2, 5), 6), None, 0,
+                 id="generalized"),
+    pytest.param(verify_generalized_boole, (Fraction(7, 2), Fraction(0), 4), None, 0,
+                 id="generalized-zero-step"),
+    pytest.param(verify_generalized_boole, (Fraction(1, 3), Fraction(-2, 5), 6),
+                 _expected_value_plus_one, 28, id="generalized-expected-value"),
+    pytest.param(verify_stirling, (7, 5), None, 0, id="stirling"),
+    pytest.param(verify_stirling, (7, 5), _stirling_row_three_moved, 6,
+                 id="stirling-stirling-rows"),
+    pytest.param(verify_stirling, (7, 5), _difference_row_three_moved, 6,
+                 id="stirling-difference-rows"),
+    pytest.param(verify_cramer, (Fraction(1, 3), Fraction(2, 5), 6), None, 0, id="cramer"),
+    pytest.param(verify_cramer, (Fraction(1, 3), Fraction(2, 5), 6), _solution_shifted, 7,
+                 id="cramer-solve-exact"),
+]
+
+
+class TestSweepRecords:
+    """The sweeps build their records unchecked; each must equal its checked twin."""
+
+    @pytest.mark.parametrize("sweep, args, fault, failures", SWEEPS)
+    def test_records_are_checked_records(self, monkeypatch, sweep, args, fault, failures):
+        if fault is not None:
+            fault(monkeypatch)
+        report = sweep(*args)
+        assert report.failures == failures
+        for record in report.results:
+            assert type(record) is CaseResult
+            assert record == CaseResult(*record)
+            assert all(type(value) is Fraction
+                       for value in (record.a, record.b, record.lhs, record.rhs))
+            assert record.lhs == record.rhs or not record.passed
+
+    def test_failing_stirling_rhs_is_the_scaled_partition_number(self, monkeypatch):
+        partitions = stirling_rows(3, 5)[3]
+        _stirling_row_three_moved(monkeypatch)
+        failed = [r for r in verify_stirling(7, 5).results if not r.passed]
+        assert [(r.n, r.m) for r in failed] == [(n, 3) for n in range(6)]
+        for r in failed:
+            assert r.lhs == boole_sum(r.n, 3)
+            assert r.rhs == factorial(r.n) * (partitions[r.n] + 1)
+
+    def test_failing_generalized_rhs_is_the_closed_form(self, monkeypatch):
+        a, b = Fraction(1, 3), Fraction(-2, 5)
+        _expected_value_plus_one(monkeypatch)
+        for r in verify_generalized_boole(a, b, 6).results:
+            assert not r.passed
+            assert r.lhs == generalized_sum(a, b, r.n, r.m)
+            assert r.rhs == r.lhs + 1
 
 
 class TestReportStructure:

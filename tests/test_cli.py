@@ -548,15 +548,14 @@ class TestStirlingCommand:
         assert "6,4,65,1560,1560,true" in lines
 
     def test_difference_route_gates_the_table(self, capsys, monkeypatch):
-        genuine = bi.differences_at_zero
+        genuine = bi.difference_rows
 
-        def moved(m, n_max):
-            heads = genuine(m, n_max)
-            if m == 3:
-                heads[2] += 1
-            return heads
+        def moved(m_max, n_max):
+            rows = genuine(m_max, n_max)
+            rows[3][2] += 1
+            return rows
 
-        monkeypatch.setattr(bi, "differences_at_zero", moved)
+        monkeypatch.setattr(bi, "difference_rows", moved)
         code, out = run_cli(capsys, "stirling", "--m-max", "3", "--n-max", "3")
         assert code == EXIT_FAILURE
         assert [line for line in out.splitlines() if "FAIL" in line] == ["3 2 3 6 6 FAIL"]
@@ -620,12 +619,12 @@ FAULTS = [
     (["verify", "--a", "1/3", "--b", "2/5"], bi,
      ["generalized_sums", "expected_value", "solve_exact", "closed_form_solution",
       "det_cramer_numerator", "det_vandermonde_closed", "boole_sums", "stirling_rows",
-      "differences_at_zero"]),
+      "difference_rows"]),
     (["solve"], cli, ["solve_exact", "closed_form_solution"]),
     (["det", "--b", "2/5"], cli, ["det_vandermonde_closed", "det_vandermonde_general",
                                   "cramer_numerators", "det_cramer_numerator",
                                   "closed_form_solution"]),
-    (["stirling"], bi, ["boole_sums", "stirling_rows", "differences_at_zero"]),
+    (["stirling"], bi, ["boole_sums", "stirling_rows", "difference_rows"]),
     (["bench"], cli, ["det_vandermonde_closed", "det_bareiss"]),
 ]
 FAULT_MATRIX = [

@@ -64,6 +64,28 @@ def last_pivot_shifted(monkeypatch):
     monkeypatch.setattr(vandermonde, "_eliminate", shifted)
 
 
+def sign_flipped(monkeypatch):
+    """_eliminate returns the opposite row-swap sign, so its determinant changes sign."""
+    genuine = vandermonde._eliminate
+
+    def flipped(rows, n):
+        return -genuine(rows, n)
+
+    monkeypatch.setattr(vandermonde, "_eliminate", flipped)
+
+
+def middle_component_negated(monkeypatch):
+    """_back_substitute flips the sign of the middle component of every solution it returns."""
+    genuine = vandermonde._back_substitute
+
+    def negated(rows, n):
+        solution = genuine(rows, n)
+        solution[len(solution) // 2] = -solution[len(solution) // 2]
+        return solution
+
+    monkeypatch.setattr(vandermonde, "_back_substitute", negated)
+
+
 def middle_digit_shifted(monkeypatch):
     """_solve_mod_prime shifts the middle entry of every digit vector it returns."""
     genuine = vandermonde._solve_mod_prime
@@ -116,6 +138,20 @@ def multiplier_negated(monkeypatch):
     monkeypatch.setattr(vandermonde, "_factor_mod_prime", negated)
 
 
+def last_inverse_pivot_negated(monkeypatch):
+    """_factor_mod_prime negates its last inverse pivot modulo _PRIME."""
+    genuine = vandermonde._factor_mod_prime
+
+    def negated(rows, n):
+        factors = genuine(rows, n)
+        if factors is not None:
+            inverse_pivots = factors[3]
+            inverse_pivots[-1] = -inverse_pivots[-1] % vandermonde._PRIME
+        return factors
+
+    monkeypatch.setattr(vandermonde, "_factor_mod_prime", negated)
+
+
 # Exit code of each command under each mutant.  The integer_powers mutant is
 # invisible: every command reads the nodes' powers only through sums and systems
 # that do not depend on the offset.  _signed_power_sums feeds only the identity
@@ -124,11 +160,16 @@ def multiplier_negated(monkeypatch):
 # lifting, which does not eliminate.  Under the _solve_mod_prime and
 # _reconstruct_vector mutants the certificate rejects every lifted candidate,
 # integer or rational, and elimination settles the system.  The
-# _factor_mod_prime mutant is invisible: a power-sum system's right-hand side
+# _factor_mod_prime multiplier mutant is invisible: a power-sum system's right-hand side
 # is zero above its last row, so forward substitution multiplies every
-# multiplier by zero, and the first digit vector is already certified.
-# test_lifting_mutants_never_change_the_solution shows both on solve_exact;
-# det and stirling never lift.
+# multiplier by zero, and the first digit vector is already certified.  The
+# last inverse pivot is another matter: it scales the one nonzero entry of the
+# forward substitution, so every digit vector is wrong, the certificate rejects
+# every candidate, and elimination settles the system with the genuine answer.
+# test_lifting_mutants_never_change_the_solution shows each lifting mutant on
+# solve_exact; det and stirling never lift.  The flipped sign in _eliminate
+# reaches only det, through det_bareiss and cramer_numerators, and the one in
+# _back_substitute only det's cramer_numerators.
 FAULT_TABLE = [
     (offset_moved, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK, "stirling": EXIT_OK}),
     (entry_negated, {"verify": EXIT_FAILURE, "solve": EXIT_OK, "det": EXIT_OK,
@@ -137,12 +178,18 @@ FAULT_TABLE = [
                           "stirling": EXIT_OK}),
     (middle_component_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
                                 "stirling": EXIT_OK}),
+    (sign_flipped, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
+                    "stirling": EXIT_OK}),
+    (middle_component_negated, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
+                                "stirling": EXIT_OK}),
     (middle_digit_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
                             "stirling": EXIT_OK}),
     (first_numerator_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
                                "stirling": EXIT_OK}),
     (multiplier_negated, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
                           "stirling": EXIT_OK}),
+    (last_inverse_pivot_negated, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
+                                  "stirling": EXIT_OK}),
 ]
 
 
@@ -191,6 +238,8 @@ DENSE = LinearSystem(build_system(NODES).matrix, tuple(Fraction(k + 1) for k in 
     pytest.param(first_numerator_shifted, DENSE, 1, id="first_numerator_shifted-dense"),
     pytest.param(multiplier_negated, NODES, 0, id="multiplier_negated-nodes"),
     pytest.param(multiplier_negated, DENSE, 1, id="multiplier_negated-dense"),
+    pytest.param(last_inverse_pivot_negated, NODES, 1, id="last_inverse_pivot_negated-nodes"),
+    pytest.param(last_inverse_pivot_negated, DENSE, 1, id="last_inverse_pivot_negated-dense"),
 ])
 def test_lifting_mutants_never_change_the_solution(monkeypatch, mutant, system, eliminations):
     """A lifted candidate that fails the exact check goes to one elimination, never out."""
