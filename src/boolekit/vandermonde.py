@@ -12,15 +12,16 @@ determinant and every Cramer numerator from one fraction-free elimination.
 solve_exact is generic too: it factors the matrix modulo one word-size
 prime, with each row's residues packed into one integer so that every row
 update is a single big-integer multiply-add, and lifts a p-adic solution
-from the factors (Dixon lifting).  After each lifting step it offers two
-candidates, the integer vector of balanced residues and the balanced
-rational reconstruction, and returns the first that an exact integer check
-certifies; so an integer solution, such as the signed binomials of a
-power-sum system, needs only the steps that cover its largest entry.  Every
-system the lifting does not certify goes to fraction-free elimination,
-which alone decides that a system is singular.  Both take a LinearSystem or
-the nodes themselves, whose integer rows come from
-ArithmeticNodes.integer_powers.
+from the factors (Dixon lifting).  After each lifting step it offers one
+candidate, the integer vector of balanced residues, and returns it once an
+exact integer check certifies it; so an integer solution, such as the
+signed binomials of a power-sum system, needs only the steps that cover its
+largest entry.  Lifting stops once the modulus passes twice Hadamard's
+bound, which covers every integer solution.  Every system the lifting does
+not certify, a solution that is not an integer vector included, goes to
+fraction-free elimination, which alone decides that a system is singular.
+Both take a LinearSystem or the nodes themselves, whose integer rows come
+from ArithmeticNodes.integer_powers.
 """
 
 from __future__ import annotations
@@ -223,18 +224,20 @@ def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
     scaled nodes; a system has its augmented rows cleared of denominators,
     which only rescales equations.  The integer matrix is factored modulo
     the word-size prime _PRIME.  Dixon lifting then builds the p-adic
-    expansion of the solution one digit vector per step, and rational
-    reconstruction turns it into fractions.  A candidate is returned only
-    after the exact integer check A (d x) = d rhs, so a wrong candidate can
-    cost time but never an answer.  A matrix nonsingular modulo the prime
-    is nonsingular over the rationals, so the certified solution is the
-    unique one.
+    expansion of the solution one digit vector per step, and the balanced
+    residues of the expansion are returned only after the exact integer
+    check A x = rhs, so a wrong candidate can cost time but never an
+    answer.  A matrix nonsingular modulo the prime is nonsingular over the
+    rationals, so the certified solution is the unique one.  Lifting stops
+    once the modulus passes 2 H, twice Hadamard's bound on the augmented
+    rows: a nonsingular integer matrix has |det A| >= 1, so by Cramer's
+    rule no entry of an integer solution exceeds H.
 
     Every system the lifting does not certify (singular modulo the prime,
-    or no candidate certified by Hadamard's bound) goes to fraction-free
-    (Bareiss) elimination and rational back-substitution, which decide
-    singularity: SingularMatrixError is raised when some pivot column has
-    no nonzero entry, for power-sum systems exactly when b = 0 and n >= 1.
+    or without an integer solution) goes to fraction-free (Bareiss)
+    elimination and rational back-substitution, which decide singularity:
+    SingularMatrixError is raised when some pivot column has no nonzero
+    entry, for power-sum systems exactly when b = 0 and n >= 1.
     """
     augmented, _ = _integer_rows(system)
     n = len(augmented)
@@ -405,26 +408,27 @@ def _factor_mod_prime(rows: list[list[int]], n: int) -> _Factors | None:
 
 
 def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[Rational] | None:
-    """Certified solution of integer augmented rows by Dixon lifting.
+    """Certified integer solution of integer augmented rows by Dixon lifting.
 
     Step k solves A y = r modulo _PRIME with the factors and adds _PRIME^k y
     to the expansion x, so A x = rhs modulo _PRIME^(k+1) throughout (Dixon,
-    Numer. Math. 40, 1982).  After every step the expansion is reconstructed
-    twice, with denominator bound 1 (the integer vector of balanced residues)
-    and with the balanced bound isqrt(modulus // 2), and each candidate is
-    certified over the integers; the first certified one is returned.  Only
-    when neither is certified does r become (r - A y) / _PRIME, an exact
-    division, for the next step.  Cramer's rule and Hadamard's bound H on the
-    augmented rows bound every numerator and the denominator by H, so the
-    balanced reconstruction must succeed once _PRIME^k > 2 H^2.  Each row's
-    squared norm is below 2^(2 * max bit length + len(row).bit_length()), so
-    a modulus past last_bits bits passes 2 H^2; when no candidate is
-    certified by then, the result is None, never an unchecked answer.
+    Numer. Math. 40, 1982).  After every step the one candidate, the
+    balanced residues of the expansion, is returned if A x = rhs holds over
+    the integers.  Only when it does not does r become (r - A y) / _PRIME,
+    an exact division, for the next step.  A nonsingular integer matrix has
+    |det A| >= 1, so by Cramer's rule every entry of an integer solution is
+    at most Hadamard's bound H on the augmented rows, and the balanced
+    residues equal that solution once _PRIME^k > 2 H.  Each row's norm is
+    below 2^(max bit length + ceil(len(row).bit_length() / 2)), so a modulus
+    past last_bits bits passes 2 H; when no candidate is certified by then,
+    the system has no integer solution and the result is None.
     """
     prime = _PRIME
     matrix = [row[:n] for row in rows]
     rhs = [row[n] for row in rows]
-    last_bits = 1 + sum(2 * max(map(int.bit_length, row)) + len(row).bit_length() for row in rows)
+    last_bits = 1 + sum(
+        max(map(int.bit_length, row)) + (len(row).bit_length() + 1) // 2 for row in rows
+    )
     residual = rhs
     expansion = [0] * n
     modulus = 1
@@ -432,15 +436,9 @@ def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[
         digits = _solve_mod_prime(residual, factors)
         expansion = [x + modulus * y for x, y in zip(expansion, digits)]
         modulus *= prime
-        for max_denominator in (1, math.isqrt(modulus // 2)):
-            candidate = _reconstruct_vector(expansion, modulus, max_denominator)
-            if candidate is not None:
-                numerators, denominator = candidate
-                if all(
-                    sum(map(operator.mul, row, numerators)) == denominator * b
-                    for row, b in zip(matrix, rhs)
-                ):
-                    return [Fraction(v, denominator) for v in numerators]
+        candidate = [x - modulus if 2 * x > modulus else x for x in expansion]
+        if all(sum(map(operator.mul, row, candidate)) == b for row, b in zip(matrix, rhs)):
+            return [Fraction(x) for x in candidate]
         if modulus.bit_length() > last_bits:
             return None
         residual = [
@@ -463,56 +461,3 @@ def _solve_mod_prime(rhs: list[int], factors: _Factors) -> list[int]:
         solution.append((forward[i] - above) * inverse_pivots[i] % prime)
     solution.reverse()
     return solution
-
-
-def _reconstruct_vector(
-    residues: list[int], modulus: int, max_denominator: int
-) -> tuple[list[int], int] | None:
-    """Numerators and one common denominator d with d * x = numerators mod modulus.
-
-    d is at most max_denominator and every numerator at most
-    (modulus - 1) // (2 * max_denominator), so twice their product stays
-    below the modulus, which makes the answer unique when it exists (Wang's
-    trade-off).  max_denominator = 1 gives the integer vector of balanced
-    residues.  The denominator grows one component at a time: component i is
-    reconstructed from d * x_i, and d absorbs the denominator found.  Returns
-    None when no such vector exists.
-    """
-    bound = (modulus - 1) // (2 * max_denominator)
-    denominator = 1
-    for residue in residues:
-        scaled = residue * denominator % modulus
-        if scaled <= bound or modulus - scaled <= bound:
-            continue
-        found = _reconstruct_denominator(scaled, modulus, bound)
-        if found is None:
-            return None
-        denominator *= found
-        if denominator > max_denominator:
-            return None
-    numerators = []
-    for residue in residues:
-        scaled = residue * denominator % modulus
-        numerator = scaled if scaled <= bound else scaled - modulus
-        if numerator < -bound:
-            return None
-        numerators.append(numerator)
-    return numerators, denominator
-
-
-def _reconstruct_denominator(residue: int, modulus: int, bound: int) -> int | None:
-    """Denominator q of the fraction p/q = residue mod modulus, |p| and q at most bound.
-
-    Half-extended Euclid on (modulus, residue), stopped at the first
-    remainder within the bound (von zur Gathen and Gerhard, Modern Computer
-    Algebra, section 5.10).  Returns None when the cofactor is too large.
-    """
-    r0, r1 = modulus, residue
-    t0, t1 = 0, 1
-    while r1 > bound:
-        quotient = r0 // r1
-        r0, r1 = r1, r0 - quotient * r1
-        t0, t1 = t1, t0 - quotient * t1
-    if t1 == 0 or abs(t1) > bound:
-        return None
-    return abs(t1) // math.gcd(r1, t1)

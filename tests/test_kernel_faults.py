@@ -1,10 +1,12 @@
 """A fault table for the exact kernels below the routes TestFaultMatrix shifts.
 
 Each mutant is written by hand and installed with monkeypatch: it wraps one
-private kernel and moves one value of its result.  The table records what each
-command gives under each mutant, on small rational nodes, so a kernel whose
-fault no command sees is named here rather than assumed to be covered.  A
-command that exits 0 under a mutant gives the genuine document byte for byte.
+private kernel and moves one value of its result, or, to drop a step inside
+a kernel, stands in for it as a copy without that step.  The table records
+what each command gives under each mutant, on small rational nodes, so a
+kernel whose fault no command sees is named here rather than assumed to be
+covered.  A command that exits 0 under a mutant gives the genuine document
+byte for byte.
 """
 
 import json
@@ -98,18 +100,16 @@ def middle_digit_shifted(monkeypatch):
     monkeypatch.setattr(vandermonde, "_solve_mod_prime", shifted)
 
 
-def first_numerator_shifted(monkeypatch):
-    """_reconstruct_vector shifts the first numerator of every candidate it returns by 1."""
-    genuine = vandermonde._reconstruct_vector
+def digit_unreduced(monkeypatch):
+    """_solve_mod_prime leaves the middle digit of every vector unreduced, _PRIME too high."""
+    genuine = vandermonde._solve_mod_prime
 
-    def shifted(residues, modulus, max_denominator):
-        candidate = genuine(residues, modulus, max_denominator)
-        if candidate is None:
-            return None
-        numerators, denominator = candidate
-        return [numerators[0] + 1, *numerators[1:]], denominator
+    def unreduced(rhs, factors):
+        digits = genuine(rhs, factors)
+        digits[len(digits) // 2] += vandermonde._PRIME
+        return digits
 
-    monkeypatch.setattr(vandermonde, "_reconstruct_vector", shifted)
+    monkeypatch.setattr(vandermonde, "_solve_mod_prime", unreduced)
 
 
 def middle_component_shifted(monkeypatch):
@@ -152,24 +152,55 @@ def last_inverse_pivot_negated(monkeypatch):
     monkeypatch.setattr(vandermonde, "_factor_mod_prime", negated)
 
 
+def division_dropped(monkeypatch):
+    """_eliminate skips the exact division by the previous pivot: a copy with that one change."""
+
+    def undivided(rows, n):
+        sign = 1
+        for k in range(n):
+            pivot_row = next((r for r in range(k, n) if rows[r][k] != 0), None)
+            if pivot_row is None:
+                raise vandermonde.SingularMatrixError(
+                    f"no pivot available in column {k}: matrix is singular"
+                )
+            if pivot_row != k:
+                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+                sign = -sign
+            top = rows[k]
+            for row in rows[k + 1 : n]:
+                head = row[k]
+                for j in range(k + 1, len(row)):
+                    row[j] = top[k] * row[j] - head * top[j]
+                row[k] = 0
+        return sign
+
+    monkeypatch.setattr(vandermonde, "_eliminate", undivided)
+
+
 # Exit code of each command under each mutant.  The integer_powers mutant is
 # invisible: every command reads the nodes' powers only through sums and systems
 # that do not depend on the offset.  _signed_power_sums feeds only the identity
 # and Stirling sums.  _eliminate and _back_substitute run in det, while solve and
 # verify's Cramer gate, whose systems all have b != 0, are settled by p-adic
-# lifting, which does not eliminate.  Under the _solve_mod_prime and
-# _reconstruct_vector mutants the certificate rejects every lifted candidate,
-# integer or rational, and elimination settles the system.  The
-# _factor_mod_prime multiplier mutant is invisible: a power-sum system's right-hand side
-# is zero above its last row, so forward substitution multiplies every
-# multiplier by zero, and the first digit vector is already certified.  The
+# lifting, which does not eliminate.  Under the shifted digit the certificate
+# rejects every lifted candidate, and elimination settles the system.  The
+# unreduced digit keeps the expansion right modulo the modulus but out of
+# range, so its balanced residues can be wrong (at order 6, whose middle entry
+# is -20, they are): the certificate rejects them, and elimination settles the
+# system.  The _factor_mod_prime multiplier mutant is invisible: a power-sum
+# system's right-hand side is zero above its last row, so forward substitution
+# multiplies every multiplier by zero, and the first digit vector is already
+# certified.  The
 # last inverse pivot is another matter: it scales the one nonzero entry of the
 # forward substitution, so every digit vector is wrong, the certificate rejects
 # every candidate, and elimination settles the system with the genuine answer.
 # test_lifting_mutants_never_change_the_solution shows each lifting mutant on
 # solve_exact; det and stirling never lift.  The flipped sign in _eliminate
 # reaches only det, through det_bareiss and cramer_numerators, and the one in
-# _back_substitute only det's cramer_numerators.
+# _back_substitute only det's cramer_numerators.  Without the division by the
+# previous pivot, _eliminate still makes valid row combinations, so the
+# solution is unchanged, but the last pivot is no longer the determinant, and
+# only det reads it.
 FAULT_TABLE = [
     (offset_moved, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK, "stirling": EXIT_OK}),
     (entry_negated, {"verify": EXIT_FAILURE, "solve": EXIT_OK, "det": EXIT_OK,
@@ -184,12 +215,14 @@ FAULT_TABLE = [
                                 "stirling": EXIT_OK}),
     (middle_digit_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
                             "stirling": EXIT_OK}),
-    (first_numerator_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
-                               "stirling": EXIT_OK}),
+    (digit_unreduced, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
+                       "stirling": EXIT_OK}),
     (multiplier_negated, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
                           "stirling": EXIT_OK}),
     (last_inverse_pivot_negated, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
                                   "stirling": EXIT_OK}),
+    (division_dropped, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
+                        "stirling": EXIT_OK}),
 ]
 
 
@@ -228,14 +261,15 @@ def test_moved_offset_shows_only_above_the_diagonal(monkeypatch):
 
 
 NODES = ArithmeticNodes(Fraction(1, 3), Fraction(2, 5), 6)
-# The same matrix with a right-hand side that is nonzero in every row.
-DENSE = LinearSystem(build_system(NODES).matrix, tuple(Fraction(k + 1) for k in range(7)))
+# The same matrix with the all-ones solution, which lifting certifies: its
+# right-hand side, the power sums of the nodes, is nonzero in every row.
+MATRIX = build_system(NODES).matrix
+DENSE = LinearSystem(MATRIX, tuple(sum(MATRIX.row(i)) for i in range(7)))
 
 
 @pytest.mark.parametrize("mutant, system, eliminations", [
     pytest.param(middle_digit_shifted, NODES, 1, id="middle_digit_shifted-nodes"),
-    pytest.param(first_numerator_shifted, NODES, 1, id="first_numerator_shifted-nodes"),
-    pytest.param(first_numerator_shifted, DENSE, 1, id="first_numerator_shifted-dense"),
+    pytest.param(digit_unreduced, NODES, 1, id="digit_unreduced-nodes"),
     pytest.param(multiplier_negated, NODES, 0, id="multiplier_negated-nodes"),
     pytest.param(multiplier_negated, DENSE, 1, id="multiplier_negated-dense"),
     pytest.param(last_inverse_pivot_negated, NODES, 1, id="last_inverse_pivot_negated-nodes"),

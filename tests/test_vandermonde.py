@@ -1,10 +1,11 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import boolekit.vandermonde as vandermonde
@@ -595,8 +596,7 @@ class TestSolvePadic:
     """solve_exact's p-adic route against the Bareiss route it falls back to.
 
     Small primes make the rare cases common: matrices singular modulo the
-    prime, reconstructions that fail or need the certificate, and many
-    lifting steps.
+    prime, candidates that fail the certificate, and many lifting steps.
     """
 
     PRIMES = [vandermonde._PRIME, 2, 5, 7]
@@ -647,18 +647,39 @@ class TestSolvePadic:
         assert solve_exact(system) == [Fraction(3, prime), Fraction(-4)]
         assert len(eliminations) == 1
 
-    def test_large_solution_needs_several_lifting_steps(self, monkeypatch):
+    def test_large_integer_solution_needs_several_lifting_steps(self, monkeypatch):
+        steps = self.spy(monkeypatch, "_solve_mod_prime")
         eliminations = self.spy(monkeypatch, "_eliminate")
-        reconstructions = self.spy(monkeypatch, "_reconstruct_vector")
         big = 10**40 + 1
         matrix = ExactMatrix.from_rows([[Fraction(3), Fraction(1)], [Fraction(1), Fraction(2)]])
-        system = LinearSystem(matrix, (Fraction(big), Fraction(7, 11)))
-        x = solve_exact(system)
-        # Numerators near 10^40 need a modulus past 2 * 10^80 > P^4.
-        assert len(reconstructions) >= 5
+        system = LinearSystem(matrix, (Fraction(3 * big - 7), Fraction(big - 14)))
+        # Entries near 10^40 need a modulus past 2 * 10^40: P^2 < 2 * 10^40 < P^3.
+        assert solve_exact(system) == [Fraction(big), Fraction(-7)]
+        assert len(steps) == 3
         assert eliminations == []
-        assert x == [Fraction(22 * big - 7, 55), Fraction(21 - 11 * big, 55)]
-        assert x == bareiss_route(system)
+
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.lists(st.integers(-(2**200), 2**200), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(deadline=None)
+    def test_integer_solution_is_lifted_without_elimination(self, data):
+        # |det A| is at most (50 sqrt 5)^5 < P, so a matrix nonsingular over
+        # the integers is nonsingular modulo P and lifting must certify x.
+        entries, x = data
+        matrix = ExactMatrix.from_rows([[Fraction(e) for e in row] for row in entries])
+        assume(det_bareiss(matrix) != 0)
+        rhs = tuple(Fraction(sum(map(operator.mul, row, x))) for row in entries)
+        with mock.patch.object(vandermonde, "_eliminate", side_effect=AssertionError):
+            assert solve_exact(LinearSystem(matrix, rhs)) == [Fraction(v) for v in x]
 
     @pytest.mark.parametrize("n, steps", [(14, 1), (36, 1), (63, 1), (64, 2), (124, 2), (125, 3)])
     @pytest.mark.parametrize("route", ["nodes", "system"])
@@ -676,45 +697,39 @@ class TestSolvePadic:
         assert len(calls) == steps
         assert eliminations == []
 
-    def test_uncertified_lifting_goes_to_elimination(self, monkeypatch):
-        # Lifting stops at Hadamard's bound, never returns an unchecked answer,
-        # and leaves the system to one elimination.
-        steps = self.spy(monkeypatch, "_solve_mod_prime")
-        monkeypatch.setattr(
-            vandermonde, "_reconstruct_vector", lambda residues, modulus, max_denominator: None
-        )
-        system = build_system(ArithmeticNodes(Fraction(1, 3), Fraction(2, 7), 4))
-        expected = bareiss_route(system)
-        eliminations = self.spy(monkeypatch, "_eliminate")
-        assert solve_exact(system) == expected
-        assert len(eliminations) == 1
-        assert 1 <= len(steps) < 40
-
     @pytest.mark.parametrize(
         "system",
         [
-            build_system(ArithmeticNodes(Fraction(1, 3), Fraction(2, 7), 4)),
-            build_system(ArithmeticNodes(Fraction(-5, 4), Fraction(9, 8), 12)),
             LinearSystem(
                 ExactMatrix.from_rows([[Fraction(3), Fraction(1)], [Fraction(1), Fraction(2)]]),
                 (Fraction(10**40 + 1), Fraction(7, 11)),
             ),
+            LinearSystem(
+                build_system(ArithmeticNodes(Fraction(1, 3), Fraction(2, 7), 4)).matrix,
+                tuple(Fraction(k + 1) for k in range(5)),
+            ),
+            LinearSystem(
+                build_system(ArithmeticNodes(Fraction(-5, 4), Fraction(9, 8), 12)).matrix,
+                tuple(Fraction(k + 1) for k in range(13)),
+            ),
         ],
-        ids=["power-4", "power-12", "big-rhs"],
+        ids=["big-rhs", "power-4", "power-12"],
     )
-    def test_lifting_stops_between_hadamard_and_the_bit_bound(self, monkeypatch, system):
+    def test_non_integer_solution_lifts_past_hadamard_then_eliminates(self, monkeypatch, system):
+        # Lifting stops between twice Hadamard's bound and its bit bound, never
+        # returns an unchecked answer, and leaves the system to one elimination.
         steps = self.spy(monkeypatch, "_solve_mod_prime")
-        monkeypatch.setattr(
-            vandermonde, "_reconstruct_vector", lambda residues, modulus, max_denominator: None
-        )
         rows, _ = vandermonde._integer_rows(system)
         expected = bareiss_route(system)
+        assert any(x.denominator != 1 for x in expected)
         eliminations = self.spy(monkeypatch, "_eliminate")
         assert solve_exact(system) == expected
         assert len(eliminations) == 1
-        hadamard = 2 * math.prod(sum(e * e for e in row) for row in rows)
-        last_bits = 1 + sum(
-            2 * max(e.bit_length() for e in row) + len(row).bit_length() for row in rows
+        # P^k > 2 H, squared, since H is the root of the product of squared norms.
+        assert vandermonde._PRIME ** (2 * len(steps)) > 4 * math.prod(
+            sum(e * e for e in row) for row in rows
         )
-        assert vandermonde._PRIME ** len(steps) > hadamard
+        last_bits = 1 + sum(
+            max(e.bit_length() for e in row) + (len(row).bit_length() + 1) // 2 for row in rows
+        )
         assert len(steps) <= math.ceil(last_bits / 61) + 1
