@@ -12,7 +12,6 @@ from .boole_identity import (
     boole_sums,
     closed_form_solution,
     difference_rows,
-    differences_at_zero,
     expected_value,
     forward_difference_at_zero,
     generalized_sum,
@@ -75,7 +74,6 @@ __all__ = [
     "stirling2",
     "stirling_rows",
     "forward_difference_at_zero",
-    "differences_at_zero",
     "difference_rows",
     "generalized_sum",
     "generalized_sums",

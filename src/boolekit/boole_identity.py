@@ -162,14 +162,9 @@ def difference_rows(m_max: int, n_max: int) -> list[list[int]]:
     return [list(row) for row in zip(*heads)]
 
 
-def differences_at_zero(m: int, n_max: int) -> list[int]:
-    """n-fold forward differences of j^m at 0 for n = 0..n_max, row m of difference_rows."""
-    return difference_rows(m, n_max)[m]
-
-
 def forward_difference_at_zero(m: int, n: int) -> int:
-    """n-fold forward difference of j^m at 0, read from differences_at_zero."""
-    return differences_at_zero(m, n)[n]
+    """n-fold forward difference of j^m at 0, read from difference_rows."""
+    return difference_rows(m, n)[m][n]
 
 
 def generalized_sum(a: Rational, b: Rational, n: int, m: int) -> Rational:
@@ -250,8 +245,6 @@ def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> Verificati
     canonical Fractions, so each record is built by CaseResult._make, and the
     shared zero of both routes passes on identity before any comparison.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
     a = Fraction(a)
     b = Fraction(b)
     make = CaseResult._make

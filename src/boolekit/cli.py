@@ -382,7 +382,7 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
                f"n={args.n}")
         system = build_system(nodes)
         yield "matrix:"
-        yield from ("  " + row for row in system.matrix.render().splitlines())
+        yield from ("  " + " ".join(map(_frac, row)) for row in system.matrix.to_rows())
         yield "rhs: " + " ".join(_frac(v) for v in system.rhs)
         yield "eliminated:       " + " ".join(format_rational(x) for x in eliminated)
         yield "signed binomials: " + " ".join(format_rational(x) for x in binomial_vector)

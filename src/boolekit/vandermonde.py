@@ -9,19 +9,8 @@ Generic exact routes (pairwise-difference product, fraction-free integer
 elimination) serve as independent cross-checks; cramer_numerators gets the
 determinant and every Cramer numerator from one fraction-free elimination.
 
-solve_exact is generic too: it factors the matrix modulo one word-size
-prime, with each row's residues packed into one integer so that every row
-update is a single big-integer multiply-add, and lifts a p-adic solution
-from the factors (Dixon lifting).  After each lifting step it offers one
-candidate, the integer vector of balanced residues, and returns it once an
-exact integer check certifies it; so an integer solution, such as the
-signed binomials of a power-sum system, needs only the steps that cover its
-largest entry.  Lifting stops once the modulus passes twice Hadamard's
-bound, which covers every integer solution.  Every system the lifting does
-not certify, a solution that is not an integer vector included, goes to
-fraction-free elimination, which alone decides that a system is singular.
-Both take a LinearSystem or the nodes themselves, whose integer rows come
-from ArithmeticNodes.integer_powers.
+solve_exact, a certified p-adic solver with elimination behind it, gives
+its design in its own docstring.
 """
 
 from __future__ import annotations
@@ -32,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rational_core import Rational, factorial, format_rational, rat_pow, superfactorial
+from .rational_core import Rational, factorial, rat_pow, superfactorial
 
 # The one prime of the p-adic solver: word-sized, so residues stay small
 # integers while each lifting step gains 61 bits of the solution.
@@ -123,13 +112,6 @@ class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
             rows[i][j] = Fraction(value)
         return ExactMatrix.from_rows(rows)
 
-    def render(self) -> str:
-        """Debug form: one line per row of space-separated "p/q" tokens."""
-        return "\n".join(
-            " ".join(format_rational(entry, always_fraction=True) for entry in self.row(i))
-            for i in range(self.rows)
-        )
-
 
 class LinearSystem(namedtuple("LinearSystem", "matrix rhs")):
     """Square exact system matrix * x = rhs."""
@@ -179,8 +161,6 @@ def det_vandermonde_closed(n: int, b: Rational) -> Rational:
     The node offset a cancels out of every pairwise difference, so the value
     depends on b alone.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     return superfactorial(n) * rat_pow(b, n * (n + 1) // 2)
 
 
@@ -223,11 +203,13 @@ def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
     Nodes stand for their power-sum system, whose integer rows come from the
     scaled nodes; a system has its augmented rows cleared of denominators,
     which only rescales equations.  The integer matrix is factored modulo
-    the word-size prime _PRIME.  Dixon lifting then builds the p-adic
+    the word-size prime _PRIME, with each row's residues packed into one
+    integer.  Dixon lifting (Numer. Math. 40, 1982) then builds the p-adic
     expansion of the solution one digit vector per step, and the balanced
     residues of the expansion are returned only after the exact integer
     check A x = rhs, so a wrong candidate can cost time but never an
-    answer.  A matrix nonsingular modulo the prime is nonsingular over the
+    answer, and an integer solution such as the signed binomials needs only
+    the steps that cover its largest entry.  A matrix nonsingular modulo the prime is nonsingular over the
     rationals, so the certified solution is the unique one.  Lifting stops
     once the modulus passes 2 H, twice Hadamard's bound on the augmented
     rows: a nonsingular integer matrix has |det A| >= 1, so by Cramer's
@@ -408,20 +390,15 @@ def _factor_mod_prime(rows: list[list[int]], n: int) -> _Factors | None:
 
 
 def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[Rational] | None:
-    """Certified integer solution of integer augmented rows by Dixon lifting.
+    """Certified integer solution of integer augmented rows by Dixon lifting, or None.
 
-    Step k solves A y = r modulo _PRIME with the factors and adds _PRIME^k y
-    to the expansion x, so A x = rhs modulo _PRIME^(k+1) throughout (Dixon,
-    Numer. Math. 40, 1982).  After every step the one candidate, the
-    balanced residues of the expansion, is returned if A x = rhs holds over
-    the integers.  Only when it does not does r become (r - A y) / _PRIME,
-    an exact division, for the next step.  A nonsingular integer matrix has
-    |det A| >= 1, so by Cramer's rule every entry of an integer solution is
-    at most Hadamard's bound H on the augmented rows, and the balanced
-    residues equal that solution once _PRIME^k > 2 H.  Each row's norm is
-    below 2^(max bit length + ceil(len(row).bit_length() / 2)), so a modulus
-    past last_bits bits passes 2 H; when no candidate is certified by then,
-    the system has no integer solution and the result is None.
+    Invariant: after step k the expansion x satisfies A x = rhs modulo
+    _PRIME^(k+1), and the residual r is (rhs - A x) / _PRIME^(k+1), so step
+    k+1 solves A y = r modulo _PRIME and r becomes (r - A y) / _PRIME, an
+    exact division.  Stop bound: each row's norm is below
+    2^(max bit length + ceil(len(row).bit_length() / 2)), so a modulus past
+    last_bits bits passes 2 H, twice Hadamard's bound on the augmented rows,
+    past which the balanced residues equal any integer solution.
     """
     prime = _PRIME
     matrix = [row[:n] for row in rows]

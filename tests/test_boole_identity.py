@@ -12,7 +12,6 @@ from boolekit.boole_identity import (
     boole_sums,
     closed_form_solution,
     difference_rows,
-    differences_at_zero,
     expected_value,
     forward_difference_at_zero,
     generalized_sum,
@@ -196,7 +195,12 @@ class TestDifferenceRows:
         rows = difference_rows(m_max, n_max)
         for m in range(m_max + 1):
             assert difference_rows(m, n_max) == rows[: m + 1]
-            assert differences_at_zero(m, n_max) == rows[m]
+
+    @given(sizes, sizes, sizes)
+    @settings(deadline=None)
+    def test_truncated_heads_do_not_depend_on_bound(self, m, n_max, n_cut):
+        n_cut = min(n_cut, n_max)
+        assert difference_rows(m, n_max)[m][: n_cut + 1] == difference_rows(m, n_cut)[m]
 
     @given(sizes)
     def test_shapes_at_zero_bounds(self, size):
@@ -220,34 +224,6 @@ class TestDifferenceRows:
             difference_rows(negative, size)
         with pytest.raises(ValueError):
             difference_rows(size, negative)
-
-
-class TestDifferencesAtZero:
-    @given(sizes, sizes)
-    @settings(deadline=None)
-    def test_heads_match_alternating_sum(self, m, n_max):
-        assert differences_at_zero(m, n_max) == [boole_sum(n, m) for n in range(n_max + 1)]
-
-    @given(sizes, sizes, sizes)
-    @settings(deadline=None)
-    def test_truncated_heads_do_not_depend_on_bound(self, m, n_max, n_cut):
-        n_cut = min(n_cut, n_max)
-        assert differences_at_zero(m, n_max)[: n_cut + 1] == differences_at_zero(m, n_cut)
-
-    @given(sizes, sizes, st.data())
-    @settings(deadline=None)
-    def test_returned_list_is_fresh(self, m, n_max, data):
-        heads = differences_at_zero(m, n_max)
-        snapshot = list(heads)
-        heads[data.draw(st.integers(min_value=0, max_value=n_max))] += 1
-        assert differences_at_zero(m, n_max) == snapshot
-
-    @given(negatives, sizes)
-    def test_negative_argument_raises_on_call(self, negative, size):
-        with pytest.raises(ValueError):
-            differences_at_zero(negative, size)
-        with pytest.raises(ValueError):
-            differences_at_zero(size, negative)
 
 
 class TestBooleSums:

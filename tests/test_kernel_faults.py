@@ -10,6 +10,7 @@ byte for byte.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,17 @@ import boolekit.boole_identity as bi
 import boolekit.vandermonde as vandermonde
 from boolekit.boole_identity import generalized_sum, generalized_sums
 from boolekit.cli import EXIT_FAILURE, EXIT_OK, main
-from boolekit.vandermonde import ArithmeticNodes, LinearSystem, build_system, solve_exact
+from boolekit.vandermonde import (
+    ArithmeticNodes,
+    ExactMatrix,
+    LinearSystem,
+    build_system,
+    cramer_numerators,
+    det_bareiss,
+    det_vandermonde_closed,
+    det_vandermonde_general,
+    solve_exact,
+)
 
 COMMANDS = {
     "verify": ["verify", "--a", "1/3", "--b", "2/5", "--n-max", "6", "--m-max", "6",
@@ -177,6 +188,72 @@ def division_dropped(monkeypatch):
     monkeypatch.setattr(vandermonde, "_eliminate", undivided)
 
 
+def _factor_reading_unreduced(slots):
+    """A copy of _factor_mod_prime that reads its "heads" or its "tail" slots without % prime."""
+
+    def factor(rows, n):
+        prime = vandermonde._PRIME
+        width = 2 * prime.bit_length() + n.bit_length() + 1
+        mask = (1 << width) - 1
+
+        def read(row, j, name):
+            slot = row >> (j * width) & mask
+            return slot if name == slots else slot % prime
+
+        packed = [
+            sum((entry % prime) << (j * width) for j, entry in enumerate(row[:n])) for row in rows
+        ]
+        order = list(range(n))
+        lower = [[] for _ in range(n)]
+        upper = []
+        inverse_pivots = []
+        for k in range(n):
+            heads = [read(row, k, "heads") for row in packed[k:]]
+            found = next((i for i, head in enumerate(heads) if head), None)
+            if found is None:
+                return None
+            heads[0], heads[found] = heads[found], heads[0]
+            pivot_row = k + found
+            packed[k], packed[pivot_row] = packed[pivot_row], packed[k]
+            order[k], order[pivot_row] = order[pivot_row], order[k]
+            lower[k], lower[pivot_row] = lower[pivot_row], lower[k]
+            inverse = pow(heads[0], -1, prime)
+            inverse_pivots.append(inverse)
+            tail = [read(packed[k], j, "tail") for j in range(k + 1, n)]
+            upper.append(tail)
+            reduced = sum(y << (j * width) for j, y in enumerate(tail, k + 1))
+            for i in range(k + 1, n):
+                factor = heads[i - k] * inverse % prime
+                lower[i].append(factor)
+                if factor:
+                    packed[i] += (prime - factor) * reduced
+        return order, lower, upper, inverse_pivots
+
+    return factor
+
+
+def heads_unreduced(monkeypatch):
+    """_factor_mod_prime reads each column's heads without % prime."""
+    monkeypatch.setattr(vandermonde, "_factor_mod_prime", _factor_reading_unreduced("heads"))
+
+
+def tail_unreduced(monkeypatch):
+    """_factor_mod_prime reads the pivot row's tail without % prime."""
+    monkeypatch.setattr(vandermonde, "_factor_mod_prime", _factor_reading_unreduced("tail"))
+
+
+def last_scale_dropped(monkeypatch):
+    """_clear_rows leaves the last row's scale out of the product of scales it returns."""
+    genuine = vandermonde._clear_rows
+
+    def dropped(rows):
+        rows = list(rows)
+        cleared_rows, cleared = genuine(rows)
+        return cleared_rows, cleared // math.lcm(*(e.denominator for e in rows[-1]))
+
+    monkeypatch.setattr(vandermonde, "_clear_rows", dropped)
+
+
 # Exit code of each command under each mutant.  The integer_powers mutant is
 # invisible: every command reads the nodes' powers only through sums and systems
 # that do not depend on the offset.  _signed_power_sums feeds only the identity
@@ -200,7 +277,15 @@ def division_dropped(monkeypatch):
 # _back_substitute only det's cramer_numerators.  Without the division by the
 # previous pivot, _eliminate still makes valid row combinations, so the
 # solution is unchanged, but the last pivot is no longer the determinant, and
-# only det reads it.
+# only det reads it.  Unreduced heads in _factor_mod_prime are still right
+# modulo _PRIME, and only a head that is a nonzero multiple of _PRIME would
+# pick another pivot, so no command sees them.  An unreduced tail is right
+# modulo _PRIME too, but the row updates it feeds overflow their slots, so the
+# factors are wrong: the certificate rejects every lifted candidate, and
+# elimination settles each system of solve and of verify's Cramer gate.  A
+# scale left out of _clear_rows reaches det through det_vandermonde_general;
+# solve_exact never reads the product of scales, and the other commands do
+# not clear rows of rationals.
 FAULT_TABLE = [
     (offset_moved, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK, "stirling": EXIT_OK}),
     (entry_negated, {"verify": EXIT_FAILURE, "solve": EXIT_OK, "det": EXIT_OK,
@@ -223,6 +308,12 @@ FAULT_TABLE = [
                                   "stirling": EXIT_OK}),
     (division_dropped, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
                         "stirling": EXIT_OK}),
+    (heads_unreduced, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
+                       "stirling": EXIT_OK}),
+    (tail_unreduced, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
+                      "stirling": EXIT_OK}),
+    (last_scale_dropped, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
+                          "stirling": EXIT_OK}),
 ]
 
 
@@ -274,6 +365,10 @@ DENSE = LinearSystem(MATRIX, tuple(sum(MATRIX.row(i)) for i in range(7)))
     pytest.param(multiplier_negated, DENSE, 1, id="multiplier_negated-dense"),
     pytest.param(last_inverse_pivot_negated, NODES, 1, id="last_inverse_pivot_negated-nodes"),
     pytest.param(last_inverse_pivot_negated, DENSE, 1, id="last_inverse_pivot_negated-dense"),
+    pytest.param(heads_unreduced, NODES, 0, id="heads_unreduced-nodes"),
+    pytest.param(heads_unreduced, DENSE, 0, id="heads_unreduced-dense"),
+    pytest.param(tail_unreduced, NODES, 1, id="tail_unreduced-nodes"),
+    pytest.param(tail_unreduced, DENSE, 1, id="tail_unreduced-dense"),
 ])
 def test_lifting_mutants_never_change_the_solution(monkeypatch, mutant, system, eliminations):
     """A lifted candidate that fails the exact check goes to one elimination, never out."""
@@ -289,3 +384,33 @@ def test_lifting_mutants_never_change_the_solution(monkeypatch, mutant, system, 
     monkeypatch.setattr(vandermonde, "_eliminate", counting)
     assert solve_exact(system) == genuine
     assert calls == [7] * eliminations
+
+
+def test_unreduced_heads_raise_where_a_pivot_vanishes_modulo_the_prime(monkeypatch):
+    """A leading 2x2 block singular modulo _PRIME leaves a head equal to _PRIME after column 0.
+
+    The genuine kernel reads it as 0, takes the next row as pivot and finds
+    the block singular modulo _PRIME, so elimination solves the system.
+    Unreduced, the head is taken as a pivot and has no inverse modulo
+    _PRIME: the mutant never returns a wrong solution, but it raises.
+    """
+    prime = vandermonde._PRIME
+    matrix = ExactMatrix.from_rows([[1, 1, 0], [1, 1 + prime, 0], [0, 0, 1]])
+    system = LinearSystem(matrix, tuple(sum(matrix.row(i)) for i in range(3)))
+    assert solve_exact(system) == [1, 1, 1]
+    heads_unreduced(monkeypatch)
+    with pytest.raises(ValueError, match="not invertible"):
+        solve_exact(system)
+
+
+def test_dropped_scale_reaches_every_reader_of_the_product(monkeypatch):
+    """det_bareiss, det_vandermonde_general and cramer_numerators on a system divide by it."""
+    system = build_system(NODES)
+    closed = det_vandermonde_closed(NODES.n, NODES.b)
+    solution = solve_exact(system)
+    last_scale_dropped(monkeypatch)
+    assert det_bareiss(MATRIX) != closed
+    assert det_vandermonde_general(NODES.values()) != closed
+    assert cramer_numerators(system)[0] != closed
+    assert cramer_numerators(NODES)[0] == closed
+    assert solve_exact(system) == solution

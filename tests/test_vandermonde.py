@@ -164,10 +164,6 @@ class TestExactMatrix:
         assert all(type(e) is Fraction for e in m.entries)
         assert m.entries[2] is half
 
-    def test_render_uses_fraction_tokens(self):
-        m = ExactMatrix.from_rows([[Fraction(1), Fraction(-1, 2)], [Fraction(0), Fraction(3)]])
-        assert m.render() == "1/1 -1/2\n0/1 3/1"
-
 
 class TestLinearSystem:
     def test_square_matrix_required(self):
