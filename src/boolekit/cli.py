@@ -43,8 +43,9 @@ import random
 import re
 import sys
 import time
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .boole_identity import (
     CaseResult,
@@ -76,11 +77,10 @@ _COMPONENT_BOUND = 9
 _NEGATIVE_RATIONAL = re.compile(r"-\d+(?:/\d+)?$")
 
 
-class Table(NamedTuple):
+class Table(namedtuple("Table", "keys rows")):
     """Rows of one shape: each row is a tuple of values in the order of keys."""
 
-    keys: tuple[str, ...]
-    rows: list[tuple]
+    __slots__ = ()
 
 
 # What every command returns: (exit code, json record, csv table, text lines).

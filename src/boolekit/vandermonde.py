@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .rational_core import Rational, factorial, rat_pow, superfactorial
 
@@ -107,10 +107,9 @@ class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
             raise ValueError(f"column index {j} out of range for {self.cols} columns")
         if len(column) != self.rows:
             raise ValueError("replacement column length must equal the row count")
-        rows = self.to_rows()
-        for i, value in enumerate(column):
-            rows[i][j] = Fraction(value)
-        return ExactMatrix.from_rows(rows)
+        entries = list(self.entries)
+        entries[j :: self.cols] = column
+        return ExactMatrix(self.rows, self.cols, tuple(entries))
 
 
 class LinearSystem(namedtuple("LinearSystem", "matrix rhs")):
@@ -239,21 +238,20 @@ def cramer_numerators(system: LinearSystem | ArithmeticNodes) -> tuple[Rational,
     right-hand side.  One fraction-free pass over the integer augmented rows
     gives the determinant and, by back-substitution, the solution x;
     Cramer's rule then gives det_k = det * x_k.  A singular matrix has
-    det = 0 and no solution to scale, so there det_k is eliminated from
-    fresh integer rows with the right-hand side copied into column k.
+    det = 0 and no solution to scale, so there the integer rows are cleared
+    once more, and each det_k is eliminated from a copy of them with the
+    right-hand side in column k.
     """
     augmented, cleared = _integer_rows(system)
     n = len(augmented)
     det = _determinant(augmented, cleared)
     if det:
         return det, [det * x for x in _back_substitute(augmented, n)]
-    substituted = []
-    for k in range(n):
-        rows, cleared = _integer_rows(system)
-        for row in rows:
-            row[k] = row[n]
-        substituted.append(_determinant(rows, cleared))
-    return det, substituted
+    rows, cleared = _integer_rows(system)
+    return det, [
+        _determinant([row[:k] + row[n:] + row[k + 1 :] for row in rows], cleared)
+        for k in range(n)
+    ]
 
 
 def _integer_rows(system: LinearSystem | ArithmeticNodes) -> tuple[list[list[int]], int]:
@@ -293,9 +291,9 @@ def _eliminate(rows: list[list[int]], n: int) -> int:
     every division in the Bareiss update is exact, which keeps intermediate
     values the size of minors rather than exploding like naive
     cross-multiplication (Bareiss, Math. Comp. 22, 1968).  Afterwards row k
-    holds the k-th pivot on the diagonal, and the last pivot is the
-    determinant of the leading n x n block up to the returned row-swap sign.
-    Raises SingularMatrixError when a column has no pivot.
+    holds the k-th pivot on the diagonal.  Returns the determinant of the
+    leading n x n block, the last pivot times the row-swap sign (1 for no
+    rows).  Raises SingularMatrixError when a column has no pivot.
     """
     sign = 1
     previous_pivot = 1
@@ -314,19 +312,15 @@ def _eliminate(rows: list[list[int]], n: int) -> int:
                 row[j] = (pivot * row[j] - head * top[j]) // previous_pivot
             row[k] = 0
         previous_pivot = pivot
-    return sign
+    return sign * previous_pivot
 
 
 def _determinant(rows: list[list[int]], cleared: int) -> Rational:
     """Leading square block's determinant over cleared, eliminating the rows in place."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
     try:
-        sign = _eliminate(rows, n)
+        return Fraction(_eliminate(rows, len(rows)), cleared)
     except SingularMatrixError:
         return Fraction(0)
-    return Fraction(sign * rows[n - 1][n - 1], cleared)
 
 
 def _clear_rows(rows: Iterable[Sequence[Rational]]) -> tuple[list[list[int]], int]:

@@ -14,6 +14,7 @@ import sys
 import types
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -949,12 +950,19 @@ class TestArgvFuzz:
         base.mkdir(exist_ok=True)
         argv = [str(base / token[1:]) if token.startswith("@") else token for token in argv]
         out, err = io.StringIO(), io.StringIO()
+        csv_documents = []
+
+        def recording(table):
+            csv_documents.append(_csv_document(table))
+            return csv_documents[-1]
+
         # --output without its value takes the next junk token ("-", "0", "abc") as a
         # relative path, so run from the scratch directory.
         cwd = os.getcwd()
         os.chdir(base)
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch.object(cli, "_csv_document", recording):
                 try:
                     code = main(argv)
                 except SystemExit as exc:
@@ -965,6 +973,11 @@ class TestArgvFuzz:
         assert "Traceback" not in err.getvalue()
         if code != EXIT_USAGE:
             assert err.getvalue() == ""
+        # CPython 3.13 quotes a cell holding "\r" and earlier versions do not, so none may.
+        for document in csv_documents:
+            assert "\r" not in document
+            header, *rows = csv.reader(io.StringIO(document))
+            assert all(len(row) == len(header) for row in rows), argv
 
 
 def parse_outcome(parse, argv):
@@ -1082,6 +1095,28 @@ class TestModuleEntryPoint:
         loaded = set(completed.stdout.split())
         assert "boolekit.cli" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect", "statistics"})
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n-max", "3", "--trials", "2"],
+        ["solve", "--n", "3"],
+        ["det", "--n", "3"],
+        ["stirling", "--m-max", "3", "--n-max", "3"],
+        ["bench", "--n-max", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_no_command_loads_typing(self, argv):
+        # -S keeps site, which may import typing itself, out of the child.
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {package_root!r})\n"
+            "from boolekit.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'typing' in sys.modules, file=sys.stderr)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True
+        )
+        assert completed.stderr == f"{EXIT_OK} False\n"
 
     def test_python_dash_m_invocation(self):
         completed = subprocess.run(

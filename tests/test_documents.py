@@ -12,6 +12,7 @@ Regenerate the golden files (only when a document change is intended) with
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import re
 import sys
@@ -155,6 +156,15 @@ def test_failing_document_matches_golden(name, fmt):
         code, document = render(argv, fmt)
     assert code == cli.EXIT_FAILURE
     assert document == _golden_path(name, fmt).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.csv")), ids=lambda path: path.stem)
+def test_csv_golden_reads_back_as_wide_as_its_header(path):
+    # CPython 3.13 quotes a cell holding "\r" and earlier versions do not, so none may.
+    document = path.read_bytes().decode("utf-8")
+    assert "\r" not in document
+    header, *rows = csv.reader(io.StringIO(document))
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_masking_touches_only_timing_fields():

@@ -66,19 +66,20 @@ def entry_negated(monkeypatch):
 
 
 def last_pivot_shifted(monkeypatch):
-    """_eliminate leaves its last pivot, the determinant up to sign, shifted by 1."""
+    """_eliminate leaves its last pivot shifted by 1, and returns the determinant read off it."""
     genuine = vandermonde._eliminate
 
     def shifted(rows, n):
-        sign = genuine(rows, n)
+        det = genuine(rows, n)
+        pivot = rows[n - 1][n - 1]
         rows[n - 1][n - 1] += 1
-        return sign
+        return det // pivot * (pivot + 1)  # the row-swap sign times the shifted pivot
 
     monkeypatch.setattr(vandermonde, "_eliminate", shifted)
 
 
 def sign_flipped(monkeypatch):
-    """_eliminate returns the opposite row-swap sign, so its determinant changes sign."""
+    """_eliminate returns the negated determinant, as if its row-swap sign were flipped."""
     genuine = vandermonde._eliminate
 
     def flipped(rows, n):
@@ -168,6 +169,7 @@ def division_dropped(monkeypatch):
 
     def undivided(rows, n):
         sign = 1
+        previous_pivot = 1
         for k in range(n):
             pivot_row = next((r for r in range(k, n) if rows[r][k] != 0), None)
             if pivot_row is None:
@@ -178,12 +180,14 @@ def division_dropped(monkeypatch):
                 rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
                 sign = -sign
             top = rows[k]
+            pivot = top[k]
             for row in rows[k + 1 : n]:
                 head = row[k]
                 for j in range(k + 1, len(row)):
-                    row[j] = top[k] * row[j] - head * top[j]
+                    row[j] = pivot * row[j] - head * top[j]
                 row[k] = 0
-        return sign
+            previous_pivot = pivot
+        return sign * previous_pivot
 
     monkeypatch.setattr(vandermonde, "_eliminate", undivided)
 
@@ -254,6 +258,32 @@ def last_scale_dropped(monkeypatch):
     monkeypatch.setattr(vandermonde, "_clear_rows", dropped)
 
 
+def rhs_power_short(monkeypatch):
+    """_integer_rows from nodes puts B^(n-1) n! last in place of B^n n!, when b != 0."""
+    genuine = vandermonde._integer_rows
+
+    def short(system):
+        rows, cleared = genuine(system)
+        if isinstance(system, ArithmeticNodes) and system.b:
+            rows[-1][-1] //= system.integer_powers(0)[1]
+        return rows, cleared
+
+    monkeypatch.setattr(vandermonde, "_integer_rows", short)
+
+
+def scale_power_short(monkeypatch):
+    """_integer_rows from nodes returns the product of scales one power of D short."""
+    genuine = vandermonde._integer_rows
+
+    def short(system):
+        rows, cleared = genuine(system)
+        if isinstance(system, ArithmeticNodes):
+            cleared //= system.integer_powers(0)[0]
+        return rows, cleared
+
+    monkeypatch.setattr(vandermonde, "_integer_rows", short)
+
+
 # Exit code of each command under each mutant.  The integer_powers mutant is
 # invisible: every command reads the nodes' powers only through sums and systems
 # that do not depend on the offset.  _signed_power_sums feeds only the identity
@@ -272,12 +302,15 @@ def last_scale_dropped(monkeypatch):
 # forward substitution, so every digit vector is wrong, the certificate rejects
 # every candidate, and elimination settles the system with the genuine answer.
 # test_lifting_mutants_never_change_the_solution shows each lifting mutant on
-# solve_exact; det and stirling never lift.  The flipped sign in _eliminate
-# reaches only det, through det_bareiss and cramer_numerators, and the one in
-# _back_substitute only det's cramer_numerators.  Without the division by the
-# previous pivot, _eliminate still makes valid row combinations, so the
-# solution is unchanged, but the last pivot is no longer the determinant, and
-# only det reads it.  Unreduced heads in _factor_mod_prime are still right
+# solve_exact; det and stirling never lift.  _eliminate returns the
+# determinant read off its last pivot: shifting that pivot moves both the
+# returned determinant and back-substitution's last component, and a flipped
+# sign negates the determinant; each reaches only det, through
+# cramer_numerators.  The flipped sign in _back_substitute reaches only det's
+# cramer_numerators too.  Without the division by the previous pivot,
+# _eliminate still makes valid row combinations, so the solution is
+# unchanged, but the last pivot, and so the determinant it returns, is wrong,
+# and only det reads it.  Unreduced heads in _factor_mod_prime are still right
 # modulo _PRIME, and only a head that is a nonzero multiple of _PRIME would
 # pick another pivot, so no command sees them.  An unreduced tail is right
 # modulo _PRIME too, but the row updates it feeds overflow their slots, so the
@@ -285,7 +318,12 @@ def last_scale_dropped(monkeypatch):
 # elimination settles each system of solve and of verify's Cramer gate.  A
 # scale left out of _clear_rows reaches det through det_vandermonde_general;
 # solve_exact never reads the product of scales, and the other commands do
-# not clear rows of rationals.
+# not clear rows of rationals.  _integer_rows from nodes feeds solve_exact in
+# solve and cramer_numerators in det; verify's Cramer gate clears
+# build_system's rows instead, so it sees neither of its mutants.  A
+# right-hand side one power of B short divides the solution by B, so solve
+# and det both fail; only the determinant reads the product of scales, so
+# only det sees it one power of D short.
 FAULT_TABLE = [
     (offset_moved, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK, "stirling": EXIT_OK}),
     (entry_negated, {"verify": EXIT_FAILURE, "solve": EXIT_OK, "det": EXIT_OK,
@@ -314,6 +352,10 @@ FAULT_TABLE = [
                       "stirling": EXIT_OK}),
     (last_scale_dropped, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
                           "stirling": EXIT_OK}),
+    (rhs_power_short, {"verify": EXIT_OK, "solve": EXIT_FAILURE, "det": EXIT_FAILURE,
+                       "stirling": EXIT_OK}),
+    (scale_power_short, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
+                         "stirling": EXIT_OK}),
 ]
 
 
@@ -393,6 +435,9 @@ def test_unreduced_heads_raise_where_a_pivot_vanishes_modulo_the_prime(monkeypat
     the block singular modulo _PRIME, so elimination solves the system.
     Unreduced, the head is taken as a pivot and has no inverse modulo
     _PRIME: the mutant never returns a wrong solution, but it raises.
+    solve_exact deliberately has no handler for this: pow can raise only on a
+    pivot the genuine kernel never takes, no input reaches it, and a handler
+    would hide such a kernel fault behind a slower, correct answer.
     """
     prime = vandermonde._PRIME
     matrix = ExactMatrix.from_rows([[1, 1, 0], [1, 1 + prime, 0], [0, 0, 1]])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -149,6 +150,13 @@ class TestExactMatrix:
         replaced = m.with_column(1, [Fraction(9), Fraction(8)])
         assert replaced.to_rows() == [[1, 9], [3, 8]]
         assert m.to_rows() == [[1, 2], [3, 4]]
+
+    def test_with_column_copies_the_entries_once(self):
+        m = ExactMatrix.from_rows([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
+        with mock.patch.object(ExactMatrix, "to_rows", side_effect=AssertionError), \
+                mock.patch.object(ExactMatrix, "from_rows", side_effect=AssertionError):
+            replaced = m.with_column(0, (7, Fraction(1, 2)))
+        assert replaced.entries == (Fraction(7), Fraction(2), Fraction(1, 2), Fraction(4))
 
     def test_with_column_validates(self):
         m = ExactMatrix.from_rows([[Fraction(1)]])
@@ -329,6 +337,48 @@ class TestDetBareiss:
         assert det_bareiss(matrix) == det_vandermonde_closed(n, b)
 
 
+def leibniz_determinant(rows):
+    """Sum over permutations of the signed products, the determinant by definition."""
+    side = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(side)):
+        inversions = sum(perm[i] > perm[j] for i in range(side) for j in range(i + 1, side))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(side))
+    return total
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of side 0 to 5; rows may start with zeros, so pivot rows swap."""
+    side = draw(st.integers(min_value=0, max_value=5))
+    rows = draw(st.lists(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=side, max_size=side),
+        min_size=side, max_size=side,
+    ))
+    for row in rows:
+        zeros = draw(st.integers(min_value=0, max_value=side))
+        row[:zeros] = [0] * zeros
+    return rows
+
+
+class TestEliminate:
+    """_eliminate against the Leibniz formula (det_bareiss shares the kernel, so not it)."""
+
+    @given(integer_matrices())
+    @example([])
+    @example([[0, 2], [3, 1]])
+    @example([[0, 0, 1], [0, 2, 5], [3, 1, 4]])
+    @example([[1, 2], [2, 4]])
+    @settings(deadline=None)
+    def test_returns_the_determinant_or_raises_where_it_is_zero(self, rows):
+        expected = leibniz_determinant(rows)
+        if expected:
+            assert vandermonde._eliminate(rows, len(rows)) == expected
+        else:
+            with pytest.raises(SingularMatrixError):
+                vandermonde._eliminate(rows, len(rows))
+
+
 class TestSolveExact:
     def test_order_one(self):
         system = build_system(ArithmeticNodes(Fraction(0), Fraction(1), 1))
@@ -432,6 +482,24 @@ class TestCramerNumerators:
         matrix = ExactMatrix.from_rows([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
         system = LinearSystem(matrix, (Fraction(1), Fraction(2)))
         assert cramer_numerators(system) == (Fraction(0), [Fraction(-1), Fraction(1)])
+
+    @pytest.mark.parametrize("system", [
+        pytest.param(ArithmeticNodes(Fraction(5, 3), 0, 6), id="zero-step-nodes"),
+        pytest.param(LinearSystem(ExactMatrix(2, 2, (1, 1, 1, 1)), (1, 2)), id="inconsistent"),
+    ])
+    def test_singular_rows_are_cleared_at_most_twice(self, monkeypatch, system):
+        square = build_system(system) if isinstance(system, ArithmeticNodes) else system
+        expected = self.definition(square)
+        calls = []
+        integer_rows = vandermonde._integer_rows
+
+        def counting(system):
+            calls.append(system)
+            return integer_rows(system)
+
+        monkeypatch.setattr(vandermonde, "_integer_rows", counting)
+        assert cramer_numerators(system) == expected
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize("n", [1, 4, 12])
     def test_power_system_numerators_are_the_closed_forms(self, n):
