@@ -23,9 +23,11 @@ from fractions import Fraction
 
 from .rational_core import Rational, factorial, rat_pow, superfactorial
 
-# The one prime of the p-adic solver: word-sized, so residues stay small
-# integers while each lifting step gains 61 bits of the solution.
-_PRIME = 2**61 - 1
+# The one prime of the p-adic solver, the largest below 2^30, so a residue
+# is one 30-bit CPython digit: packed slots stay short, the residual's exact
+# division by the prime takes the one-digit path, and each lifting step
+# gains 30 bits of the solution.
+_PRIME = 2**30 - 35
 
 # (order, lower, upper, inverse_pivots), as returned by _factor_mod_prime.
 _Factors = tuple[list[int], list[list[int]], list[list[int]], list[int]]
@@ -202,17 +204,18 @@ def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
     Nodes stand for their power-sum system, whose integer rows come from the
     scaled nodes; a system has its augmented rows cleared of denominators,
     which only rescales equations.  The integer matrix is factored modulo
-    the word-size prime _PRIME, with each row's residues packed into one
-    integer.  Dixon lifting (Numer. Math. 40, 1982) then builds the p-adic
-    expansion of the solution one digit vector per step, and the balanced
-    residues of the expansion are returned only after the exact integer
-    check A x = rhs, so a wrong candidate can cost time but never an
-    answer, and an integer solution such as the signed binomials needs only
-    the steps that cover its largest entry.  A matrix nonsingular modulo the prime is nonsingular over the
-    rationals, so the certified solution is the unique one.  Lifting stops
-    once the modulus passes 2 H, twice Hadamard's bound on the augmented
-    rows: a nonsingular integer matrix has |det A| >= 1, so by Cramer's
-    rule no entry of an integer solution exceeds H.
+    the prime _PRIME = 2^30 - 35, so each residue is one interpreter digit,
+    with each row's residues packed into one integer.  Dixon lifting
+    (Numer. Math. 40, 1982) then builds the p-adic expansion of the
+    solution one digit vector, 30 bits, per step, and the balanced residues
+    of the expansion are returned only after the exact integer check
+    A x = rhs, so a wrong candidate can cost time but never an answer, and
+    an integer solution such as the signed binomials needs only the steps
+    that cover its largest entry.  A matrix nonsingular modulo the prime is
+    nonsingular over the rationals, so the certified solution is the unique
+    one.  Lifting stops once the modulus passes 2 H, twice Hadamard's bound
+    on the augmented rows: a nonsingular integer matrix has |det A| >= 1, so
+    by Cramer's rule no entry of an integer solution exceeds H.
 
     Every system the lifting does not certify (singular modulo the prime,
     or without an integer solution) goes to fraction-free (Bareiss)
@@ -238,15 +241,20 @@ def cramer_numerators(system: LinearSystem | ArithmeticNodes) -> tuple[Rational,
     right-hand side.  One fraction-free pass over the integer augmented rows
     gives the determinant and, by back-substitution, the solution x;
     Cramer's rule then gives det_k = det * x_k.  A singular matrix has
-    det = 0 and no solution to scale, so there the integer rows are cleared
-    once more, and each det_k is eliminated from a copy of them with the
-    right-hand side in column k.
+    det = 0 and no solution to scale.  With an all-zero right-hand side
+    every substituted matrix has a zero column, so every det_k is 0;
+    otherwise the integer rows are cleared once more, and each det_k is
+    eliminated from a copy of them with the right-hand side in column k.
     """
     augmented, cleared = _integer_rows(system)
     n = len(augmented)
+    # Read before the elimination, which may stop partway through the rows.
+    zero_rhs = not any(row[n] for row in augmented)
     det = _determinant(augmented, cleared)
     if det:
         return det, [det * x for x in _back_substitute(augmented, n)]
+    if zero_rhs:
+        return det, [Fraction(0)] * n
     rows, cleared = _integer_rows(system)
     return det, [
         _determinant([row[:k] + row[n:] + row[k + 1 :] for row in rows], cleared)
@@ -344,10 +352,11 @@ def _factor_mod_prime(rows: list[list[int]], n: int) -> _Factors | None:
     _PRIME.  The rows themselves are left untouched.
 
     Each working row packs its residues into one integer, in slots of
-    width bits, so eliminating a row is one big-integer multiply-add of
-    the reduced pivot row.  Slots are reduced only when read; each update
-    adds less than _PRIME**2 to a slot and a row takes at most n - 1
-    updates, so no slot ever carries into the next.
+    width = 2 * 30 + n.bit_length() + 1 bits (67 at n = 36), so eliminating
+    a row is one big-integer multiply-add of the reduced pivot row.  Slots
+    are reduced only when read; each update adds less than _PRIME**2 to a
+    slot and a row takes at most n - 1 updates, so no slot ever carries
+    into the next.
     """
     prime = _PRIME
     width = 2 * prime.bit_length() + n.bit_length() + 1
@@ -389,7 +398,8 @@ def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[
     Invariant: after step k the expansion x satisfies A x = rhs modulo
     _PRIME^(k+1), and the residual r is (rhs - A x) / _PRIME^(k+1), so step
     k+1 solves A y = r modulo _PRIME and r becomes (r - A y) / _PRIME, an
-    exact division.  Stop bound: each row's norm is below
+    exact division by a one-digit divisor; each step gains 30 bits of x.
+    Stop bound: each row's norm is below
     2^(max bit length + ceil(len(row).bit_length() / 2)), so a modulus past
     last_bits bits passes 2 H, twice Hadamard's bound on the augmented rows,
     past which the balanced residues equal any integer solution.

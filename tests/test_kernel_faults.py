@@ -289,8 +289,10 @@ def scale_power_short(monkeypatch):
 # that do not depend on the offset.  _signed_power_sums feeds only the identity
 # and Stirling sums.  _eliminate and _back_substitute run in det, while solve and
 # verify's Cramer gate, whose systems all have b != 0, are settled by p-adic
-# lifting, which does not eliminate.  Under the shifted digit the certificate
-# rejects every lifted candidate, and elimination settles the system.  The
+# lifting, which does not eliminate.  Their signed binomials are at most
+# C(6, 3) = 20, far below _PRIME, so one lifting step certifies each of them.
+# Under the shifted digit the certificate rejects every lifted candidate, and
+# elimination settles the system.  The
 # unreduced digit keeps the expansion right modulo the modulus but out of
 # range, so its balanced residues can be wrong (at order 6, whose middle entry
 # is -20, they are): the certificate rejects them, and elimination settles the

@@ -483,11 +483,15 @@ class TestCramerNumerators:
         system = LinearSystem(matrix, (Fraction(1), Fraction(2)))
         assert cramer_numerators(system) == (Fraction(0), [Fraction(-1), Fraction(1)])
 
-    @pytest.mark.parametrize("system", [
-        pytest.param(ArithmeticNodes(Fraction(5, 3), 0, 6), id="zero-step-nodes"),
-        pytest.param(LinearSystem(ExactMatrix(2, 2, (1, 1, 1, 1)), (1, 2)), id="inconsistent"),
+    @pytest.mark.parametrize("system, eliminations", [
+        pytest.param(ArithmeticNodes(Fraction(5, 3), 0, 6), 1, id="zero-step-nodes"),
+        pytest.param(LinearSystem(ExactMatrix(2, 2, (1, 2, 2, 4)), (0, 0)), 1, id="zero-rhs"),
+        pytest.param(LinearSystem(ExactMatrix(2, 2, (1, 1, 1, 1)), (1, 2)), 3, id="inconsistent"),
     ])
-    def test_singular_rows_are_cleared_at_most_twice(self, monkeypatch, system):
+    def test_singular_rows_are_cleared_at_most_twice(self, monkeypatch, system, eliminations):
+        # A zero right-hand side gives every substituted matrix a zero column:
+        # the elimination that finds the matrix singular decides every
+        # numerator.  A nonzero one still eliminates each column's copy.
         square = build_system(system) if isinstance(system, ArithmeticNodes) else system
         expected = self.definition(square)
         calls = []
@@ -498,8 +502,10 @@ class TestCramerNumerators:
             return integer_rows(system)
 
         monkeypatch.setattr(vandermonde, "_integer_rows", counting)
+        elimination_calls = TestSolvePadic.spy(monkeypatch, "_eliminate")
         assert cramer_numerators(system) == expected
         assert len(calls) <= 2
+        assert len(elimination_calls) == eliminations
 
     @pytest.mark.parametrize("n", [1, 4, 12])
     def test_power_system_numerators_are_the_closed_forms(self, n):
@@ -606,7 +612,7 @@ def integer_rows(draw, prime):
 class TestFactorModPrime:
     """Packed-row LU modulo the prime against the row-by-row reference."""
 
-    PRIMES = [vandermonde._PRIME, 2, 5, 7]
+    PRIMES = [vandermonde._PRIME, 2**61 - 1, 2, 5, 7]
 
     @staticmethod
     def assert_factors_multiply_back(rows, factors):
@@ -649,6 +655,12 @@ class TestFactorModPrime:
         assert factors == reference_factor_mod_prime(rows, n)
         self.assert_factors_multiply_back(rows, factors)
 
+    def test_prime_is_one_interpreter_digit(self):
+        # Trial division up to 2^15 > sqrt(2^30) proves any number below 2^30 prime.
+        prime = vandermonde._PRIME
+        assert prime < 2**30
+        assert all(prime % d for d in range(2, 2**15))
+
     def test_rows_are_left_untouched(self):
         rows = [[2, 1, 5], [1, 3, -7]]
         copy = [list(row) for row in rows]
@@ -663,7 +675,7 @@ class TestSolvePadic:
     prime, candidates that fail the certificate, and many lifting steps.
     """
 
-    PRIMES = [vandermonde._PRIME, 2, 5, 7]
+    PRIMES = [vandermonde._PRIME, 2**61 - 1, 2, 5, 7]
 
     @staticmethod
     def assert_matches_bareiss_route(system):
@@ -717,16 +729,16 @@ class TestSolvePadic:
         big = 10**40 + 1
         matrix = ExactMatrix.from_rows([[Fraction(3), Fraction(1)], [Fraction(1), Fraction(2)]])
         system = LinearSystem(matrix, (Fraction(3 * big - 7), Fraction(big - 14)))
-        # Entries near 10^40 need a modulus past 2 * 10^40: P^2 < 2 * 10^40 < P^3.
+        # Entries near 10^40 need a modulus past 2 * 10^40: P^4 < 2 * 10^40 < P^5.
         assert solve_exact(system) == [Fraction(big), Fraction(-7)]
-        assert len(steps) == 3
+        assert len(steps) == 5
         assert eliminations == []
 
     @given(
         st.integers(min_value=1, max_value=5).flatmap(
             lambda n: st.tuples(
                 st.lists(
-                    st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                    st.lists(st.integers(-20, 20), min_size=n, max_size=n),
                     min_size=n,
                     max_size=n,
                 ),
@@ -736,8 +748,9 @@ class TestSolvePadic:
     )
     @settings(deadline=None)
     def test_integer_solution_is_lifted_without_elimination(self, data):
-        # |det A| is at most (50 sqrt 5)^5 < P, so a matrix nonsingular over
-        # the integers is nonsingular modulo P and lifting must certify x.
+        # By Hadamard, |det A| is at most (20 sqrt 5)^5, about 1.8e8 < P, about
+        # 1.07e9, so a matrix nonsingular over the integers is nonsingular
+        # modulo P and lifting must certify x.
         entries, x = data
         matrix = ExactMatrix.from_rows([[Fraction(e) for e in row] for row in entries])
         assume(det_bareiss(matrix) != 0)
@@ -745,14 +758,16 @@ class TestSolvePadic:
         with mock.patch.object(vandermonde, "_eliminate", side_effect=AssertionError):
             assert solve_exact(LinearSystem(matrix, rhs)) == [Fraction(v) for v in x]
 
-    @pytest.mark.parametrize("n, steps", [(14, 1), (36, 1), (63, 1), (64, 2), (124, 2), (125, 3)])
+    @pytest.mark.parametrize(
+        "n, steps", [(14, 1), (31, 1), (32, 2), (36, 2), (62, 2), (63, 3), (92, 3), (93, 4)]
+    )
     @pytest.mark.parametrize("route", ["nodes", "system"])
     def test_integer_solution_needs_only_the_steps_its_entries_fill(
         self, monkeypatch, route, n, steps
     ):
         # The signed binomials are certified once the modulus P^k passes twice
-        # the largest, C(n, n // 2): 2 C(63, 31) < P < 2 C(64, 32) and
-        # 2 C(124, 62) < P^2 < 2 C(125, 62).
+        # the largest, C(n, n // 2): 2 C(31, 15) < P < 2 C(32, 16),
+        # 2 C(62, 31) < P^2 < 2 C(63, 31) and 2 C(92, 46) < P^3 < 2 C(93, 46).
         nodes = ArithmeticNodes(Fraction(1, 3), Fraction(2, 5), n)
         system = nodes if route == "nodes" else build_system(nodes)
         calls = self.spy(monkeypatch, "_solve_mod_prime")
@@ -796,4 +811,4 @@ class TestSolvePadic:
         last_bits = 1 + sum(
             max(e.bit_length() for e in row) + (len(row).bit_length() + 1) // 2 for row in rows
         )
-        assert len(steps) <= math.ceil(last_bits / 61) + 1
+        assert len(steps) <= math.ceil(last_bits / vandermonde._PRIME.bit_length()) + 1
