@@ -39,15 +39,11 @@ def parse_rational(text: str) -> Rational:
     return Fraction(int(token))
 
 
-def format_rational(value: Rational, always_fraction: bool = False) -> str:
-    """Render a rational as ``"p/q"``, or as bare ``"p"`` for integers.
-
-    With ``always_fraction`` integers render as ``"p/1"`` (the uniform shape
-    used inside JSON documents).
-    """
+def format_rational(value: Rational) -> str:
+    """Render a rational as ``"p/q"``, or as bare ``"p"`` for integers."""
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    if value.denominator == 1 and not always_fraction:
+    if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 

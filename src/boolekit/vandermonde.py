@@ -233,33 +233,26 @@ def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
     return solution
 
 
-def cramer_numerators(system: LinearSystem | ArithmeticNodes) -> tuple[Rational, list[Rational]]:
-    """Determinant of the matrix and every Cramer numerator, from one elimination.
+def cramer_numerators(nodes: ArithmeticNodes) -> tuple[Rational, list[Rational]]:
+    """Determinant of the nodes' power-sum matrix and every Cramer numerator, from one elimination.
 
-    For a system of side n returns (det, [det_0, ..., det_{n-1}]), where
-    det_k is the determinant of the matrix with column k replaced by the
-    right-hand side.  One fraction-free pass over the integer augmented rows
-    gives the determinant and, by back-substitution, the solution x;
-    Cramer's rule then gives det_k = det * x_k.  A singular matrix has
-    det = 0 and no solution to scale.  With an all-zero right-hand side
-    every substituted matrix has a zero column, so every det_k is 0;
-    otherwise the integer rows are cleared once more, and each det_k is
-    eliminated from a copy of them with the right-hand side in column k.
+    For nodes of order n returns (det, [det_0, ..., det_n]), where det_k is
+    the determinant of the matrix with column k replaced by the right-hand
+    side.  One fraction-free pass over the integer augmented rows gives the
+    determinant and, by back-substitution, the solution x; Cramer's rule
+    then gives det_k = det * x_k.  Raises TypeError for anything but
+    ArithmeticNodes.
     """
-    augmented, cleared = _integer_rows(system)
+    if not isinstance(nodes, ArithmeticNodes):
+        raise TypeError(f"cramer_numerators takes ArithmeticNodes, got {type(nodes).__name__}")
+    augmented, cleared = _integer_rows(nodes)
     n = len(augmented)
-    # Read before the elimination, which may stop partway through the rows.
-    zero_rhs = not any(row[n] for row in augmented)
     det = _determinant(augmented, cleared)
-    if det:
-        return det, [det * x for x in _back_substitute(augmented, n)]
-    if zero_rhs:
-        return det, [Fraction(0)] * n
-    rows, cleared = _integer_rows(system)
-    return det, [
-        _determinant([row[:k] + row[n:] + row[k + 1 :] for row in rows], cleared)
-        for k in range(n)
-    ]
+    if not det:
+        # The nodes coincide (b = 0), so the right-hand side b^n n! is 0 and
+        # every substituted matrix has a zero column.
+        return det, [det] * n
+    return det, [det * x for x in _back_substitute(augmented, n)]
 
 
 def _integer_rows(system: LinearSystem | ArithmeticNodes) -> tuple[list[list[int]], int]:

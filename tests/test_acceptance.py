@@ -22,7 +22,7 @@ from boolekit.boole_identity import (
     verify_generalized_boole,
 )
 from boolekit.cli import random_rational, seeded_parameter_pairs
-from boolekit.rational_core import factorial, format_rational, parse_rational
+from boolekit.rational_core import factorial, parse_rational
 from boolekit.vandermonde import (
     ArithmeticNodes,
     SingularMatrixError,
@@ -272,7 +272,8 @@ def test_criterion_8_cli_contract(capsys):
         for case in document["cases"]:
             fields.extend([case["a"], case["b"], case["lhs"], case["rhs"]])
         for text in fields:
-            if format_rational(parse_rational(text), always_fraction=True) != text:
+            x = parse_rational(text)
+            if text != f"{x.numerator}/{x.denominator}":
                 failures.append(f"rational field {text!r} does not round-trip")
     except (json.JSONDecodeError, KeyError) as exc:
         failures.append(f"json document malformed: {exc}")

@@ -181,7 +181,8 @@ class TestVerifyCommand:
         for case in document["cases"]:
             fields.extend([case["a"], case["b"], case["lhs"], case["rhs"]])
         for text in fields:
-            assert format_rational(parse_rational(text), always_fraction=True) == text
+            x = parse_rational(text)
+            assert text == f"{x.numerator}/{x.denominator}"
 
     def test_seeded_output_is_byte_identical(self, capsys):
         args = ("verify", "--n-max", "5", "--trials", "7", "--seed", "99", "--format", "json")
@@ -455,13 +456,17 @@ class TestDetCommand:
         assert document["elimination"] == "768/1"
         assert all(column["agree"] for column in document["columns"])
 
-    def test_zero_step_all_zero_still_passes(self, capsys):
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_zero_step_all_zero_still_passes(self, capsys, n):
+        # At n = 1 a 2 x 2 matrix with a nonzero right-hand side would have
+        # nonzero numerators; coinciding nodes make that side zero.
         code, out = run_cli(
-            capsys, "det", "--a", "5", "--b", "0", "--n", "2", "--format", "json"
+            capsys, "det", "--a", "5", "--b", "0", "--n", str(n), "--format", "json"
         )
         assert code == EXIT_OK
         document = json.loads(out)
         assert document["closed"] == "0/1"
+        assert [column["elimination"] for column in document["columns"]] == ["0/1"] * (n + 1)
         assert document["agree"] is True
 
     @staticmethod
@@ -718,6 +723,13 @@ class TestJsonDocument:
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
             _json_document(value)
+
+    def test_integers_render_in_the_uniform_fraction_form(self):
+        assert [_frac(Fraction(v)) for v in (3, 0, -2)] == ["3/1", "0/1", "-2/1"]
+
+    @given(st.fractions())
+    def test_rational_text_round_trips(self, x):
+        assert parse_rational(_frac(x)) == x
 
 
 @st.composite

@@ -451,13 +451,12 @@ def test_unreduced_heads_raise_where_a_pivot_vanishes_modulo_the_prime(monkeypat
 
 
 def test_dropped_scale_reaches_every_reader_of_the_product(monkeypatch):
-    """det_bareiss, det_vandermonde_general and cramer_numerators on a system divide by it."""
+    """det_bareiss and det_vandermonde_general divide by it."""
     system = build_system(NODES)
     closed = det_vandermonde_closed(NODES.n, NODES.b)
     solution = solve_exact(system)
     last_scale_dropped(monkeypatch)
     assert det_bareiss(MATRIX) != closed
     assert det_vandermonde_general(NODES.values()) != closed
-    assert cramer_numerators(system)[0] != closed
     assert cramer_numerators(NODES)[0] == closed
     assert solve_exact(system) == solution

@@ -47,18 +47,12 @@ class TestParseFormat:
         assert format_rational(Fraction(-4)) == "-4"
         assert format_rational(3) == "3"
 
-    def test_format_integer_uniform(self):
-        assert format_rational(Fraction(3), always_fraction=True) == "3/1"
-        assert format_rational(Fraction(0), always_fraction=True) == "0/1"
-        assert format_rational(-2, always_fraction=True) == "-2/1"
-
     def test_format_proper_fraction(self):
         assert format_rational(Fraction(-1, 3)) == "-1/3"
 
     @given(rationals)
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
-        assert parse_rational(format_rational(x, always_fraction=True)) == x
 
 
 class TestCanonicalForm:
