@@ -292,7 +292,10 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
     For each k the generic solver's solution (recorded as lhs), the
     signed binomial (-1)^(n-k) * C(n,k) (recorded as rhs), and the ratio of
     closed-form determinants must coincide; the m field of each case carries
-    the component index k.  The generic solver is solve_exact: a p-adic
+    the component index k.  The ratio is checked without dividing: the
+    closed numerator must equal the closed determinant times the signed
+    binomial, which is the same test since that determinant is nonzero
+    whenever the system is solved.  The generic solver is solve_exact: a p-adic
     solution certified by an exact integer check, with fraction-free
     elimination as the decider of singularity, and no closed form or
     Vandermonde structure.  Raises ValueError for n < 0, and for b = 0 with
@@ -306,9 +309,9 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
     signed_binomials = closed_form_solution(n)
     denominator = det_vandermonde_closed(n, b)
     results = []
-    for k in range(n + 1):
-        ratio = det_cramer_numerator(n, k, b) / denominator
-        expected = Fraction(signed_binomials[k])
-        passed = solved[k] == expected and ratio == expected
+    for k, signed in enumerate(signed_binomials):
+        numerator = det_cramer_numerator(n, k, b)
+        expected = Fraction(signed)
+        passed = solved[k] == expected and numerator == denominator * signed
         results.append(CaseResult._make((n, k, a, b, solved[k], expected, passed)))
     return VerificationReport(tuple(results))

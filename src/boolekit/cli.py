@@ -7,9 +7,9 @@ table with verification column), bench (closed form vs elimination timing).
 Each command computes once and returns a record, its csv Table and lazy text
 lines.  A Table declares the keys of a list of rows once; each row is a tuple of
 values in the order of the keys, so the sweeps' CaseResults are rows as they
-are.  One table gives the json and csv forms of each scalar type.  The json
-writer renders each distinct scalar once per document and every row of a Table
-through one template built from its keys; csv is the Table's keys, then its
+are.  One table gives the json and csv forms of each scalar type.  Both writers
+render each distinct scalar once per document; json sends every row of a Table
+through one template built from its keys, and csv is the Table's keys, then its
 rows; text is as given.  main opens the destination (--output, else stdout)
 before the command runs and writes the chosen format to it once.  Every rational
 inside json or csv output uses the canonical "p/q" form so it parses back with
@@ -61,7 +61,7 @@ from .vandermonde import (
     build_system,
     cramer_numerators,
     det_bareiss,
-    det_cramer_numerator,
+    det_cramer_numerators,
     det_vandermonde_closed,
     det_vandermonde_general,
     solve_exact,
@@ -304,12 +304,18 @@ def _json_document(value: object, indent: str = "\n", texts: dict | None = None)
 
 
 def _csv_document(table: Table) -> str:
-    """The table's keys as the header, then one line per row of the cells' csv forms."""
+    """The table's keys as the header, then one line per row of the cells' csv forms.
+
+    Each distinct cell object is rendered once: texts maps its id to its csv
+    form, which is sound because the table keeps every cell alive while it renders.
+    """
     forms = {kind: csv_form for kind, (_, csv_form) in _SCALAR_FORMS.items()}
+    texts: dict[int, str] = {}
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.keys)
-    writer.writerows([forms[type(value)](value) for value in row] for row in table.rows)
+    writer.writerows([texts.get(id(cell)) or texts.setdefault(id(cell), forms[type(cell)](cell))
+                      for cell in row] for row in table.rows)
     return buffer.getvalue().rstrip("\n")
 
 
@@ -397,14 +403,17 @@ def cmd_det(args: argparse.Namespace) -> Outcome:
     closed = det_vandermonde_closed(args.n, args.b)
     pairwise = det_vandermonde_general(nodes.values())
     eliminated, substituted_columns = cramer_numerators(nodes)
-    agree = closed == pairwise and closed == eliminated
+    numerators = det_cramer_numerators(args.n, args.b)
+    # zip stops at the shorter list, so a column either route drops fails here.
+    agree = (closed == pairwise and closed == eliminated
+             and len(numerators) == len(substituted_columns))
     signed = closed_form_solution(args.n)
     columns = Table(("k", "closed", "elimination", "agree"), [])
-    for k, substituted in enumerate(substituted_columns):
-        numerator = det_cramer_numerator(args.n, k, args.b)
+    for k, (numerator, substituted) in enumerate(zip(numerators, substituted_columns)):
         column_agree = numerator == substituted
         if args.b != 0:
-            column_agree = column_agree and numerator / closed == signed[k]
+            # numerator / closed == signed[k], without the division: closed != 0.
+            column_agree = column_agree and numerator == closed * signed[k]
         columns.rows.append((k, numerator, substituted, column_agree))
         agree = agree and column_agree
     record = {

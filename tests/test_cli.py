@@ -630,7 +630,7 @@ FAULTS = [
       "difference_rows"]),
     (["solve"], cli, ["solve_exact", "closed_form_solution"]),
     (["det", "--b", "2/5"], cli, ["det_vandermonde_closed", "det_vandermonde_general",
-                                  "cramer_numerators", "det_cramer_numerator",
+                                  "cramer_numerators", "det_cramer_numerators",
                                   "closed_form_solution"]),
     (["stirling"], bi, ["boole_sums", "stirling_rows", "difference_rows"]),
     (["bench"], cli, ["det_vandermonde_closed", "det_bareiss"]),
@@ -656,6 +656,19 @@ class TestFaultMatrix:
             assert document["summary"]["failures"] > 0
         else:
             assert document["agree"] is False
+
+    @pytest.mark.parametrize("route, drop_last", [
+        ("det_cramer_numerators", lambda numerators: numerators[:-1]),
+        ("cramer_numerators", lambda result: (result[0], result[1][:-1])),
+    ], ids=["closed", "elimination"])
+    def test_a_short_column_list_fails_det(self, capsys, monkeypatch, route, drop_last):
+        genuine = getattr(cli, route)
+        monkeypatch.setattr(cli, route, lambda *args: drop_last(genuine(*args)))
+        code = main(["det", "--b", "2/5", "--n", "3", "--format", "json"])
+        document = json.loads(capsys.readouterr().out)
+        assert code == EXIT_FAILURE
+        assert document["agree"] is False
+        assert all(column["agree"] for column in document["columns"])
 
 
 @contextlib.contextmanager
@@ -788,6 +801,8 @@ class TestTableWriters:
 
     @given(table=csv_tables())
     @example(table=Table(("", "%s"), [("", True), (Fraction(-3, 4), 0)]))
+    @example(table=Table(("a", "b", "c"), [(SHARED, SHARED, True), (Fraction(1, 3), SHARED, 1),
+                                           (1, True, ""), ("", 1, SHARED)]))
     @settings(deadline=None, max_examples=200)
     def test_csv_header_then_cell_forms(self, table):
         assert list(csv.reader(io.StringIO(_csv_document(table)))) == [

@@ -47,6 +47,7 @@ PASSING = {
 _REAL_EXPECTED_VALUE = bi.expected_value
 _REAL_STIRLING_ROWS = bi.stirling_rows
 _REAL_CRAMER_NUMERATOR = vm.det_cramer_numerator
+_REAL_CRAMER_NUMERATORS = vm.det_cramer_numerators
 
 
 def _wrong_expected_value(a, b, n, m):
@@ -66,6 +67,12 @@ def _wrong_cramer_numerator(n, k, b):
     return value * 2 if k == 1 else value
 
 
+def _wrong_cramer_numerators(n, b):
+    values = _REAL_CRAMER_NUMERATORS(n, b)
+    values[1] *= 2
+    return values
+
+
 # name -> (argv, [(module, attribute, replacement)]); every run exits 1
 FAILING = {
     "fail-expected-value": (
@@ -82,7 +89,7 @@ FAILING = {
     ),
     "fail-cramer-numerator": (
         ["det", "--a", "1", "--b", "-1/2", "--n", "2"],
-        [(cli, "det_cramer_numerator", _wrong_cramer_numerator)],
+        [(cli, "det_cramer_numerators", _wrong_cramer_numerators)],
     ),
     "fail-cramer-numerator-verify": (
         ["verify", "--a", "1", "--b", "-1/2", "--n-max", "2", "--m-max", "2"],

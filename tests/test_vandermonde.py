@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import boolekit.vandermonde as vandermonde
 from boolekit.boole_identity import closed_form_solution
-from boolekit.rational_core import rat_pow
+from boolekit.rational_core import rat_pow, superfactorial
 from boolekit.vandermonde import (
     ArithmeticNodes,
     ExactMatrix,
@@ -21,6 +21,7 @@ from boolekit.vandermonde import (
     cramer_numerators,
     det_bareiss,
     det_cramer_numerator,
+    det_cramer_numerators,
     det_vandermonde_closed,
     det_vandermonde_general,
     solve_exact,
@@ -281,6 +282,21 @@ class TestDetCramerNumerator:
             substituted = system.matrix.with_column(k, system.rhs)
             assert det_cramer_numerator(n, k, b) == det_bareiss(substituted)
 
+    @given(small_rationals, st.integers(min_value=0, max_value=12))
+    @example(Fraction(0), 0)
+    @example(Fraction(0), 5)
+    @settings(deadline=None)
+    def test_batch_is_each_component_and_the_definition(self, b, n):
+        power = b ** (n * (n + 1) // 2)
+        scaled = math.factorial(n) * superfactorial(n)
+        definition = [
+            Fraction((-1) ** (n - k) * scaled, math.factorial(k) * math.factorial(n - k)) * power
+            for k in range(n + 1)
+        ]
+        batch = det_cramer_numerators(n, b)
+        assert batch == [det_cramer_numerator(n, k, b) for k in range(n + 1)] == definition
+        assert all(type(value) is Fraction for value in batch)
+
     def test_cramer_ratio_gives_signed_binomials(self):
         for n in range(0, 31):
             b = Fraction(5, 3)
@@ -462,8 +478,11 @@ class TestCramerNumerators:
             det_bareiss(matrix.with_column(k, system.rhs)) for k in range(matrix.cols)
         ]
 
-    @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=6))
+    @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=8))
     @example(Fraction(5, 3), Fraction(0), 1)
+    @example(Fraction(0), Fraction(0), 3)
+    @example(Fraction(0), Fraction(3, 7), 6)
+    @example(Fraction(-2), Fraction(0), 4)
     @settings(deadline=None)
     def test_power_systems_zero_step_included(self, a, b, n):
         nodes = ArithmeticNodes(a, b, n)
@@ -534,15 +553,6 @@ class TestIntegerRowsFromNodes:
             assert str(raised.value) == str(exc)
         else:
             assert solve_exact(nodes) == expected
-
-    @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=8))
-    @example(Fraction(0), Fraction(0), 3)
-    @example(Fraction(0), Fraction(3, 7), 6)
-    @example(Fraction(-2), Fraction(0), 4)
-    @settings(deadline=None)
-    def test_cramer_numerators_match_the_system(self, a, b, n):
-        nodes = ArithmeticNodes(a, b, n)
-        assert cramer_numerators(nodes) == TestCramerNumerators.definition(build_system(nodes))
 
 
 def bareiss_route(system):
