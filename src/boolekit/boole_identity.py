@@ -299,7 +299,7 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
     solution certified by an exact integer check, with fraction-free
     elimination as the decider of singularity, and no closed form or
     Vandermonde structure.  Raises ValueError for n < 0, and for b = 0 with
-    n >= 1, where the nodes coincide, elimination's SingularMatrixError; at
+    n >= 1, where the nodes coincide, solve_exact's SingularMatrixError; at
     n = 0 the system is [1] x = [1].  The solver and the signed binomials
     give canonical Fractions, so each record is built by CaseResult._make.
     """

@@ -404,18 +404,16 @@ def cmd_det(args: argparse.Namespace) -> Outcome:
     pairwise = det_vandermonde_general(nodes.values())
     eliminated, substituted_columns = cramer_numerators(nodes)
     numerators = det_cramer_numerators(args.n, args.b)
+    # numerator / closed == signed, without the division; at b = 0 all three
+    # sides are 0 from n = 1 on, and 1 at n = 0.
+    columns = Table(("k", "closed", "elimination", "agree"), [
+        (k, numerator, substituted, numerator == substituted == closed * signed)
+        for k, (numerator, substituted, signed)
+        in enumerate(zip(numerators, substituted_columns, closed_form_solution(args.n)))
+    ])
     # zip stops at the shorter list, so a column either route drops fails here.
-    agree = (closed == pairwise and closed == eliminated
-             and len(numerators) == len(substituted_columns))
-    signed = closed_form_solution(args.n)
-    columns = Table(("k", "closed", "elimination", "agree"), [])
-    for k, (numerator, substituted) in enumerate(zip(numerators, substituted_columns)):
-        column_agree = numerator == substituted
-        if args.b != 0:
-            # numerator / closed == signed[k], without the division: closed != 0.
-            column_agree = column_agree and numerator == closed * signed[k]
-        columns.rows.append((k, numerator, substituted, column_agree))
-        agree = agree and column_agree
+    agree = (closed == pairwise == eliminated and len(numerators) == len(substituted_columns)
+             and all(row[3] for row in columns.rows))
     record = {
         "command": "det",
         "params": {"a": args.a, "b": args.b, "n": args.n},
@@ -450,10 +448,13 @@ def cmd_stirling(args: argparse.Namespace) -> Outcome:
     """verify_stirling's three-route grid as a table of S(m,n), n! * S(m,n) and the sum, by m."""
     report = verify_stirling(args.m_max, args.n_max)
     factorials = [factorial(n) for n in range(args.n_max + 1)]
-    table = Table(("m", "n", "stirling2", "scaled", "boole_sum", "agree"), [])
-    for r in sorted(report.results, key=lambda result: (result.m, result.n)):
-        scaled = int(r.rhs)
-        table.rows.append((r.m, r.n, scaled // factorials[r.n], scaled, int(r.lhs), r.passed))
+    # verify_stirling orders its records by n, then m, so row m is every
+    # (m_max + 1)-th record from m on.
+    step = args.m_max + 1
+    table = Table(("m", "n", "stirling2", "scaled", "boole_sum", "agree"), [
+        (r.m, r.n, r.rhs.numerator // factorials[r.n], r.rhs.numerator, r.lhs.numerator, r.passed)
+        for m in range(step) for r in report.results[m::step]
+    ])
     agree = report.ok
     record = {
         "command": "stirling",

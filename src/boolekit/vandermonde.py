@@ -195,8 +195,6 @@ def det_cramer_numerators(n: int, b: Rational) -> list[Rational]:
     n! * (1! * 2! * ... * n!) and b^(n(n+1)/2) are formed once, and every k!
     comes from one running product.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     scaled = factorial(n) * superfactorial(n)
     power = rat_pow(b, n * (n + 1) // 2)
     factorials = list(accumulate(range(1, n + 1), operator.mul, initial=1))
@@ -208,13 +206,14 @@ def det_bareiss(matrix: ExactMatrix) -> Rational:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
     Each row is first scaled to integers by the least common multiple of its
-    denominators; _determinant then eliminates over integers and divides the
-    accumulated row scales back out of the last pivot.  A column without a
-    pivot means the matrix is singular: the value is 0.
+    denominators; _eliminate then eliminates over integers, and the
+    accumulated row scales are divided back out of the determinant it
+    returns, 0 for a singular matrix.
     """
     if matrix.rows != matrix.cols:
         raise ValueError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
-    return _determinant(*_clear_rows(matrix.row(i) for i in range(matrix.rows)))
+    rows, cleared = _clear_rows(matrix.row(i) for i in range(matrix.rows))
+    return Fraction(_eliminate(rows, matrix.rows), cleared)
 
 
 def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
@@ -238,16 +237,21 @@ def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
 
     Every system the lifting does not certify (singular modulo the prime,
     or without an integer solution) goes to fraction-free (Bareiss)
-    elimination and rational back-substitution, which decide singularity:
-    SingularMatrixError is raised when some pivot column has no nonzero
-    entry, for power-sum systems exactly when b = 0 and n >= 1.
+    elimination, which decides singularity, and rational back-substitution.
+    SingularMatrixError is raised when elimination returns 0, naming the
+    first column without a pivot; for power-sum systems that happens
+    exactly when b = 0 and n >= 1.
     """
     augmented, _ = _integer_rows(system)
     n = len(augmented)
     factors = _factor_mod_prime(augmented, n)
     solution = None if factors is None else _solve_by_lifting(augmented, n, factors)
     if solution is None:
-        _eliminate(augmented, n)
+        if not _eliminate(augmented, n):
+            # Elimination stops at the first column without a pivot, the
+            # first whose diagonal entry is 0.
+            k = next(k for k in range(n) if not augmented[k][k])
+            raise SingularMatrixError(f"no pivot available in column {k}: matrix is singular")
         return _back_substitute(augmented, n)
     return solution
 
@@ -266,7 +270,7 @@ def cramer_numerators(nodes: ArithmeticNodes) -> tuple[Rational, list[Rational]]
         raise TypeError(f"cramer_numerators takes ArithmeticNodes, got {type(nodes).__name__}")
     augmented, cleared = _integer_rows(nodes)
     n = len(augmented)
-    det = _determinant(augmented, cleared)
+    det = Fraction(_eliminate(augmented, n), cleared)
     if not det:
         # The nodes coincide (b = 0), so the right-hand side b^n n! is 0 and
         # every substituted matrix has a zero column.
@@ -313,14 +317,15 @@ def _eliminate(rows: list[list[int]], n: int) -> int:
     cross-multiplication (Bareiss, Math. Comp. 22, 1968).  Afterwards row k
     holds the k-th pivot on the diagonal.  Returns the determinant of the
     leading n x n block, the last pivot times the row-swap sign (1 for no
-    rows).  Raises SingularMatrixError when a column has no pivot.
+    rows).  A column k without a pivot makes that block singular: elimination
+    stops there and returns 0, with the pivots of columns 0..k-1 in place.
     """
     sign = 1
     previous_pivot = 1
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if rows[r][k] != 0), None)
         if pivot_row is None:
-            raise SingularMatrixError(f"no pivot available in column {k}: matrix is singular")
+            return 0
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
@@ -333,14 +338,6 @@ def _eliminate(rows: list[list[int]], n: int) -> int:
             row[k] = 0
         previous_pivot = pivot
     return sign * previous_pivot
-
-
-def _determinant(rows: list[list[int]], cleared: int) -> Rational:
-    """Leading square block's determinant over cleared, eliminating the rows in place."""
-    try:
-        return Fraction(_eliminate(rows, len(rows)), cleared)
-    except SingularMatrixError:
-        return Fraction(0)
 
 
 def _clear_rows(rows: Iterable[Sequence[Rational]]) -> tuple[list[list[int]], int]:

@@ -173,9 +173,7 @@ def division_dropped(monkeypatch):
         for k in range(n):
             pivot_row = next((r for r in range(k, n) if rows[r][k] != 0), None)
             if pivot_row is None:
-                raise vandermonde.SingularMatrixError(
-                    f"no pivot available in column {k}: matrix is singular"
-                )
+                return 0
             if pivot_row != k:
                 rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
                 sign = -sign

@@ -386,13 +386,9 @@ class TestEliminate:
     @example([[0, 0, 1], [0, 2, 5], [3, 1, 4]])
     @example([[1, 2], [2, 4]])
     @settings(deadline=None)
-    def test_returns_the_determinant_or_raises_where_it_is_zero(self, rows):
-        expected = leibniz_determinant(rows)
-        if expected:
-            assert vandermonde._eliminate(rows, len(rows)) == expected
-        else:
-            with pytest.raises(SingularMatrixError):
-                vandermonde._eliminate(rows, len(rows))
+    def test_returns_the_determinant_zero_included(self, rows):
+        expected = leibniz_determinant(rows)  # before _eliminate works on the rows in place
+        assert vandermonde._eliminate(rows, len(rows)) == expected
 
 
 class TestSolveExact:
@@ -408,6 +404,16 @@ class TestSolveExact:
         system = build_system(ArithmeticNodes(Fraction(3), Fraction(0), 1))
         with pytest.raises(SingularMatrixError):
             solve_exact(system)
+
+    @pytest.mark.parametrize("rows, column", [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 2),
+        ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], 2),
+    ])
+    def test_singular_message_names_the_first_column_without_a_pivot(self, rows, column):
+        system = LinearSystem(ExactMatrix.from_rows(rows), (0, 0, 0))
+        with pytest.raises(SingularMatrixError) as raised:
+            solve_exact(system)
+        assert str(raised.value) == f"no pivot available in column {column}: matrix is singular"
 
     def test_order_zero(self):
         system = build_system(ArithmeticNodes(Fraction(4), Fraction(0), 0))
@@ -559,7 +565,9 @@ def bareiss_route(system):
     """The elimination route of solve_exact: Bareiss, then rational back-substitution."""
     n = system.matrix.rows
     augmented, _ = vandermonde._integer_rows(system)
-    vandermonde._eliminate(augmented, n)
+    if not vandermonde._eliminate(augmented, n):
+        k = next(k for k in range(n) if not augmented[k][k])
+        raise SingularMatrixError(f"no pivot available in column {k}: matrix is singular")
     return vandermonde._back_substitute(augmented, n)
 
 
