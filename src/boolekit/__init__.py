@@ -23,7 +23,6 @@ from .boole_identity import (
     verify_stirling,
 )
 from .rational_core import (
-    Rational,
     binomial,
     factorial,
     format_rational,
@@ -49,7 +48,6 @@ from .vandermonde import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "format_rational",
     "factorial",

@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
 
-from .rational_core import Rational, binomial, factorial, rat_pow
+from .rational_core import binomial, factorial, rat_pow
 from .vandermonde import (
     ArithmeticNodes,
     build_system,
@@ -54,7 +54,7 @@ class CaseResult(namedtuple("CaseResult", "n m a b lhs rhs passed")):
     __slots__ = ()
 
     def __new__(
-        cls, n: int, m: int, a: Rational, b: Rational, lhs: Rational, rhs: Rational, passed: bool
+        cls, n: int, m: int, a: Fraction, b: Fraction, lhs: Fraction, rhs: Fraction, passed: bool
     ) -> "CaseResult":
         if n < 0 or m < 0:
             raise ValueError(f"n and m must be >= 0, got n={n} m={m}")
@@ -111,8 +111,6 @@ def boole_sums(n_max: int, m_max: int) -> list[list[int]]:
 
     _signed_power_sums of the powers k^m of the nodes k = 0..n_max, odd rows negated.
     """
-    if n_max < 0 or m_max < 0:
-        raise ValueError(f"n_max and m_max must be >= 0, got n_max={n_max} m_max={m_max}")
     _, _, powers = ArithmeticNodes(0, 1, n_max).integer_powers(m_max)
     rows = _signed_power_sums(powers, n_max, m_max)
     return [list(map(operator.neg, row)) if n % 2 else row for n, row in enumerate(rows)]
@@ -167,7 +165,7 @@ def forward_difference_at_zero(m: int, n: int) -> int:
     return difference_rows(m, n)[m][n]
 
 
-def generalized_sum(a: Rational, b: Rational, n: int, m: int) -> Rational:
+def generalized_sum(a: Fraction, b: Fraction, n: int, m: int) -> Fraction:
     """sum_{k=0..n} (-1)^k * C(n,k) * (a + b*k)^m, exactly.
 
     Mind the sign convention: the alternation is (-1)^k here, not
@@ -184,8 +182,8 @@ def generalized_sum(a: Rational, b: Rational, n: int, m: int) -> Rational:
 
 
 def generalized_sums(
-    a: Rational, b: Rational, n_max: int, m_max: int | None = None
-) -> list[list[Rational]]:
+    a: Fraction, b: Fraction, n_max: int, m_max: int | None = None
+) -> list[list[Fraction]]:
     """Rows [n][m] = generalized_sum(a, b, n, m) for m = 0..n, or m = 0..m_max if given.
 
     Every node is a + b*k = (A + B*k)/D, so the one integer table
@@ -195,8 +193,6 @@ def generalized_sums(
     over the one power D^m of its column m.  Every zero entry is the one
     shared Fraction(0).  Every row is a fresh list.
     """
-    if n_max < 0 or (m_max is not None and m_max < 0):
-        raise ValueError(f"n_max and m_max must be >= 0, got n_max={n_max} m_max={m_max}")
     width = n_max if m_max is None else m_max
     scale, _, powers = ArithmeticNodes(a, b, n_max).integer_powers(width)
     scales = list(accumulate(repeat(scale, width), operator.mul, initial=1))
@@ -217,7 +213,7 @@ def _signed_power_sums(powers: list[list[int]], n_max: int, m_max: int | None) -
     return rows
 
 
-def expected_value(a: Rational, b: Rational, n: int, m: int) -> Rational:
+def expected_value(a: Fraction, b: Fraction, n: int, m: int) -> Fraction:
     """Closed form of generalized_sum for m <= n: (-1)^n * b^n * n! at m = n, else 0.
 
     The value does not depend on a; the parameter is accepted so call sites
@@ -233,7 +229,7 @@ def expected_value(a: Rational, b: Rational, n: int, m: int) -> Rational:
     return (-1) ** n * rat_pow(b, n) * factorial(n)
 
 
-def verify_generalized_boole(a: Rational, b: Rational, n_max: int) -> VerificationReport:
+def verify_generalized_boole(a: Fraction, b: Fraction, n_max: int) -> VerificationReport:
     """Sweep the generalized identity over 0 <= m <= n <= n_max at fixed (a, b).
 
     Each case compares the generalized_sums entry, the value of
@@ -286,7 +282,7 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
     return VerificationReport(tuple(results))
 
 
-def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
+def verify_cramer(a: Fraction, b: Fraction, n: int) -> VerificationReport:
     """Check all n+1 solution components of the power-sum system three ways.
 
     For each k the generic solver's solution (recorded as lhs), the
@@ -303,9 +299,9 @@ def verify_cramer(a: Rational, b: Rational, n: int) -> VerificationReport:
     n = 0 the system is [1] x = [1].  The solver and the signed binomials
     give canonical Fractions, so each record is built by CaseResult._make.
     """
-    b = Fraction(b)
-    a = Fraction(a)
-    solved = solve_exact(build_system(ArithmeticNodes(a, b, n)))
+    nodes = ArithmeticNodes(a, b, n)
+    a, b = nodes.a, nodes.b
+    solved = solve_exact(build_system(nodes))
     signed_binomials = closed_form_solution(n)
     denominator = det_vandermonde_closed(n, b)
     results = []

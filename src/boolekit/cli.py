@@ -54,7 +54,7 @@ from .boole_identity import (
     verify_generalized_boole,
     verify_stirling,
 )
-from .rational_core import Rational, factorial, format_rational, parse_rational
+from .rational_core import factorial, format_rational, parse_rational
 from .vandermonde import (
     ArithmeticNodes,
     SingularMatrixError,
@@ -87,7 +87,7 @@ class Table(namedtuple("Table", "keys rows")):
 Outcome = tuple[int, dict, Table | None, Iterable[str]]
 
 
-def random_rational(rng: random.Random) -> Rational:
+def random_rational(rng: random.Random) -> Fraction:
     """One rational with numerator and denominator uniform in [-9, 9], denominator nonzero."""
     numerator = rng.randint(-_COMPONENT_BOUND, _COMPONENT_BOUND)
     denominator = rng.randint(-_COMPONENT_BOUND, _COMPONENT_BOUND)
@@ -96,13 +96,13 @@ def random_rational(rng: random.Random) -> Rational:
     return Fraction(numerator, denominator)
 
 
-def seeded_parameter_pairs(seed: int, count: int) -> list[tuple[Rational, Rational]]:
+def seeded_parameter_pairs(seed: int, count: int) -> list[tuple[Fraction, Fraction]]:
     """Deterministic (a, b) draws; b = 0 occurs whenever its numerator draw is 0."""
     rng = random.Random(seed)
     return [(random_rational(rng), random_rational(rng)) for _ in range(count)]
 
 
-def _rational_arg(text: str) -> Rational:
+def _rational_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
@@ -240,7 +240,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _frac(value: Rational) -> str:
+def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -17,12 +17,10 @@ import math
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_LITERAL = re.compile(r"-?\d+(?:/\d+)?")
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` (optional leading minus) into a rational.
 
     Surrounding whitespace is ignored.  A zero denominator, a signed
@@ -39,10 +37,8 @@ def parse_rational(text: str) -> Rational:
     return Fraction(int(token))
 
 
-def format_rational(value: Rational) -> str:
+def format_rational(value: Fraction) -> str:
     """Render a rational as ``"p/q"``, or as bare ``"p"`` for integers."""
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -69,7 +65,7 @@ def superfactorial(n: int) -> int:
     return product
 
 
-def rat_pow(x: Rational, m: int) -> Rational:
+def rat_pow(x: Fraction, m: int) -> Fraction:
     """x**m exactly, with 0**0 = 1 so a zero node still yields a one in the all-ones power row."""
     _natural(m, "m")
     return (x if isinstance(x, Fraction) else Fraction(x)) ** m

@@ -23,7 +23,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .rational_core import Rational, factorial, rat_pow, superfactorial
+from .rational_core import factorial, rat_pow, superfactorial
 
 # The one prime of the p-adic solver, the largest below 2^30, so a residue
 # is one 30-bit CPython digit: packed slots stay short, the residual's exact
@@ -44,14 +44,14 @@ class ArithmeticNodes(namedtuple("ArithmeticNodes", "a b n")):
 
     __slots__ = ()
 
-    def __new__(cls, a: Rational, b: Rational, n: int) -> "ArithmeticNodes":
+    def __new__(cls, a: Fraction, b: Fraction, n: int) -> "ArithmeticNodes":
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         a = a if isinstance(a, Fraction) else Fraction(a)
         b = b if isinstance(b, Fraction) else Fraction(b)
         return tuple.__new__(cls, (a, b, n))
 
-    def values(self) -> list[Rational]:
+    def values(self) -> list[Fraction]:
         return [self.a + i * self.b for i in range(self.n + 1)]
 
     def integer_powers(self, m_max: int) -> tuple[int, int, list[list[int]]]:
@@ -77,7 +77,7 @@ class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
 
     __slots__ = ()
 
-    def __new__(cls, rows: int, cols: int, entries: tuple[Rational, ...]) -> "ExactMatrix":
+    def __new__(cls, rows: int, cols: int, entries: tuple[Fraction, ...]) -> "ExactMatrix":
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
@@ -88,7 +88,7 @@ class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
         return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "ExactMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[Fraction]]) -> "ExactMatrix":
         materialised = [list(row) for row in rows]
         n_cols = len(materialised[0]) if materialised else 0
         if any(len(row) != n_cols for row in materialised):
@@ -96,16 +96,16 @@ class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
         flat = tuple(entry for row in materialised for entry in row)
         return cls(len(materialised), n_cols, flat)
 
-    def at(self, i: int, j: int) -> Rational:
+    def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Rational, ...]:
+    def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[Rational]]:
+    def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def with_column(self, j: int, column: Sequence[Rational]) -> "ExactMatrix":
+    def with_column(self, j: int, column: Sequence[Fraction]) -> "ExactMatrix":
         """Copy of the matrix with column j replaced by the given values."""
         if not 0 <= j < self.cols:
             raise ValueError(f"column index {j} out of range for {self.cols} columns")
@@ -121,7 +121,7 @@ class LinearSystem(namedtuple("LinearSystem", "matrix rhs")):
 
     __slots__ = ()
 
-    def __new__(cls, matrix: ExactMatrix, rhs: tuple[Rational, ...]) -> "LinearSystem":
+    def __new__(cls, matrix: ExactMatrix, rhs: tuple[Fraction, ...]) -> "LinearSystem":
         if matrix.rows != matrix.cols:
             raise ValueError("coefficient matrix must be square")
         if len(rhs) != matrix.rows:
@@ -144,7 +144,7 @@ def build_system(nodes: ArithmeticNodes) -> LinearSystem:
     return LinearSystem(matrix, rhs)
 
 
-def det_vandermonde_general(nodes: Sequence[Rational]) -> Rational:
+def det_vandermonde_general(nodes: Sequence[Fraction]) -> Fraction:
     """Vandermonde determinant of an arbitrary node list.
 
     Product of node_i - node_j over all pairs j < i; the empty product (one
@@ -158,7 +158,7 @@ def det_vandermonde_general(nodes: Sequence[Rational]) -> Rational:
                     scale**pairs)
 
 
-def det_vandermonde_closed(n: int, b: Rational) -> Rational:
+def det_vandermonde_closed(n: int, b: Fraction) -> Fraction:
     """Closed form of the power-sum system determinant: 1! * 2! * ... * n! * b^(n(n+1)/2).
 
     The node offset a cancels out of every pairwise difference, so the value
@@ -167,7 +167,7 @@ def det_vandermonde_closed(n: int, b: Rational) -> Rational:
     return superfactorial(n) * rat_pow(b, n * (n + 1) // 2)
 
 
-def det_cramer_numerator(n: int, k: int, b: Rational) -> Rational:
+def det_cramer_numerator(n: int, k: int, b: Fraction) -> Fraction:
     """Closed form for the determinant of the system matrix with column k
     replaced by the right-hand side (the Cramer-rule numerator of component k).
 
@@ -189,7 +189,7 @@ def det_cramer_numerator(n: int, k: int, b: Rational) -> Rational:
     return (-quotient if (n - k) % 2 else quotient) * rat_pow(b, n * (n + 1) // 2)
 
 
-def det_cramer_numerators(n: int, b: Rational) -> list[Rational]:
+def det_cramer_numerators(n: int, b: Fraction) -> list[Fraction]:
     """Every closed-form Cramer numerator of order n: det_cramer_numerator(n, k, b), k = 0..n.
 
     n! * (1! * 2! * ... * n!) and b^(n(n+1)/2) are formed once, and every k!
@@ -202,7 +202,7 @@ def det_cramer_numerators(n: int, b: Rational) -> list[Rational]:
     return [(-q if (n - k) % 2 else q) * power for k, q in enumerate(quotients)]
 
 
-def det_bareiss(matrix: ExactMatrix) -> Rational:
+def det_bareiss(matrix: ExactMatrix) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
     Each row is first scaled to integers by the least common multiple of its
@@ -216,7 +216,7 @@ def det_bareiss(matrix: ExactMatrix) -> Rational:
     return Fraction(_eliminate(rows, matrix.rows), cleared)
 
 
-def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
+def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Fraction]:
     """Unique exact solution of a nonsingular square system.
 
     Nodes stand for their power-sum system, whose integer rows come from the
@@ -256,7 +256,7 @@ def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Rational]:
     return solution
 
 
-def cramer_numerators(nodes: ArithmeticNodes) -> tuple[Rational, list[Rational]]:
+def cramer_numerators(nodes: ArithmeticNodes) -> tuple[Fraction, list[Fraction]]:
     """Determinant of the nodes' power-sum matrix and every Cramer numerator, from one elimination.
 
     For nodes of order n returns (det, [det_0, ..., det_n]), where det_k is
@@ -296,7 +296,7 @@ def _integer_rows(system: LinearSystem | ArithmeticNodes) -> tuple[list[list[int
     return rows, scale ** (n * (n + 1) // 2)
 
 
-def _back_substitute(rows: list[list[int]], n: int) -> list[Rational]:
+def _back_substitute(rows: list[list[int]], n: int) -> list[Fraction]:
     """Solution of eliminated augmented rows (pivots on the diagonal), over rationals."""
     solution = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
@@ -340,7 +340,7 @@ def _eliminate(rows: list[list[int]], n: int) -> int:
     return sign * previous_pivot
 
 
-def _clear_rows(rows: Iterable[Sequence[Rational]]) -> tuple[list[list[int]], int]:
+def _clear_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Scale each row to integers by its lcm; returns (rows, product of the scales)."""
     cleared_rows = []
     cleared = 1
@@ -401,7 +401,7 @@ def _factor_mod_prime(rows: list[list[int]], n: int) -> _Factors | None:
     return order, lower, upper, inverse_pivots
 
 
-def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[Rational] | None:
+def _solve_by_lifting(rows: list[list[int]], n: int, factors: _Factors) -> list[Fraction] | None:
     """Certified integer solution of integer augmented rows by Dixon lifting, or None.
 
     Invariant: after step k the expansion x satisfies A x = rhs modulo

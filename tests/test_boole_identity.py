@@ -261,9 +261,9 @@ class TestBooleSums:
 
     @given(negatives, sizes)
     def test_negative_bound_raises_on_call(self, negative, size):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 0, got"):
             boole_sums(negative, size)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 0, got"):
             boole_sums(size, negative)
 
 
@@ -341,9 +341,9 @@ class TestGeneralizedSums:
 
     @given(negatives)
     def test_negative_n_max_raises_on_call(self, negative):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 0, got"):
             generalized_sums(Fraction(0), Fraction(1), negative)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 0, got"):
             generalized_sums(Fraction(0), Fraction(1), 3, negative)
 
 
@@ -575,12 +575,14 @@ SWEEPS = [
                  id="generalized-zero-step"),
     pytest.param(verify_generalized_boole, (Fraction(1, 3), Fraction(-2, 5), 6),
                  _expected_value_plus_one, 28, id="generalized-expected-value"),
+    pytest.param(verify_generalized_boole, (1, -2, 4), None, 0, id="generalized-int-nodes"),
     pytest.param(verify_stirling, (7, 5), None, 0, id="stirling"),
     pytest.param(verify_stirling, (7, 5), _stirling_row_three_moved, 6,
                  id="stirling-stirling-rows"),
     pytest.param(verify_stirling, (7, 5), _difference_row_three_moved, 6,
                  id="stirling-difference-rows"),
     pytest.param(verify_cramer, (Fraction(1, 3), Fraction(2, 5), 6), None, 0, id="cramer"),
+    pytest.param(verify_cramer, (1, -2, 4), None, 0, id="cramer-int-nodes"),
     pytest.param(verify_cramer, (Fraction(1, 3), Fraction(2, 5), 6), _solution_shifted, 7,
                  id="cramer-solve-exact"),
 ]

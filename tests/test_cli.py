@@ -396,6 +396,25 @@ class TestSolveCommand:
         assert out.rstrip().splitlines()[-1] == "36,1/1,1/1,true"
         assert eliminations == []
 
+    def test_step_singular_modulo_the_prime_is_solved_by_elimination(self, capsys, monkeypatch):
+        # Nodes a + k * _PRIME coincide modulo the prime, so the factorization
+        # fails there and elimination solves the nonsingular system.
+        eliminations = self.count_eliminations(monkeypatch)
+        code, out = run_cli(
+            capsys, "solve", "--b", str(vandermonde._PRIME), "--n", "3", "--format", "csv"
+        )
+        assert code == EXIT_OK
+        assert out.rstrip().splitlines()[-1] == "3,1/1,1/1,true"
+        assert eliminations == [4]
+
+    def test_cramer_gate_takes_the_same_elimination(self, capsys, monkeypatch):
+        eliminations = self.count_eliminations(monkeypatch)
+        code, _ = run_cli(
+            capsys, "verify", "--b", str(vandermonde._PRIME), "--n-max", "3", "--m-max", "2"
+        )
+        assert code == EXIT_OK
+        assert eliminations == [4]
+
     def test_zero_step_is_decided_by_elimination(self, capsys, monkeypatch):
         eliminations = self.count_eliminations(monkeypatch)
         code, out = run_cli(capsys, "solve", "--b", "0", "--n", "3")
