@@ -39,7 +39,6 @@ from .vandermonde import (
     cramer_numerators,
     det_bareiss,
     det_cramer_numerator,
-    det_cramer_numerators,
     det_vandermonde_closed,
     det_vandermonde_general,
     solve_exact,
@@ -62,7 +61,6 @@ __all__ = [
     "det_vandermonde_general",
     "det_vandermonde_closed",
     "det_cramer_numerator",
-    "det_cramer_numerators",
     "det_bareiss",
     "cramer_numerators",
     "solve_exact",

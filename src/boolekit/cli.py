@@ -61,7 +61,6 @@ from .vandermonde import (
     build_system,
     cramer_numerators,
     det_bareiss,
-    det_cramer_numerators,
     det_vandermonde_closed,
     det_vandermonde_general,
     solve_exact,
@@ -398,18 +397,20 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_det(args: argparse.Namespace) -> Outcome:
-    """Compare the three determinant routes and every Cramer numerator, from the nodes."""
+    """Compare the three determinant routes and every Cramer numerator, from the nodes.
+
+    Each closed numerator is Cramer's rule on the closed forms, the closed
+    determinant times its signed binomial, and its column checks it against
+    the numerator from elimination.
+    """
     nodes = ArithmeticNodes(args.a, args.b, args.n)
     closed = det_vandermonde_closed(args.n, args.b)
     pairwise = det_vandermonde_general(nodes.values())
     eliminated, substituted_columns = cramer_numerators(nodes)
-    numerators = det_cramer_numerators(args.n, args.b)
-    # numerator / closed == signed, without the division; at b = 0 all three
-    # sides are 0 from n = 1 on, and 1 at n = 0.
+    numerators = [closed * signed for signed in closed_form_solution(args.n)]
     columns = Table(("k", "closed", "elimination", "agree"), [
-        (k, numerator, substituted, numerator == substituted == closed * signed)
-        for k, (numerator, substituted, signed)
-        in enumerate(zip(numerators, substituted_columns, closed_form_solution(args.n)))
+        (k, numerator, substituted, numerator == substituted)
+        for k, (numerator, substituted) in enumerate(zip(numerators, substituted_columns))
     ])
     # zip stops at the shorter list, so a column either route drops fails here.
     agree = (closed == pairwise == eliminated and len(numerators) == len(substituted_columns)

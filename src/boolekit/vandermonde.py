@@ -7,8 +7,7 @@ Vandermonde matrix, so its determinant has a closed form; the same goes for
 the column-substituted determinants that appear as Cramer-rule numerators.
 Generic exact routes (pairwise-difference product, fraction-free integer
 elimination) serve as independent cross-checks; cramer_numerators gets the
-determinant and every Cramer numerator from one fraction-free elimination,
-and det_cramer_numerators every closed-form numerator of one order at once.
+determinant and every Cramer numerator from one fraction-free elimination.
 
 solve_exact, a certified p-adic solver with elimination behind it, gives
 its design in its own docstring.
@@ -21,7 +20,6 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import accumulate
 
 from .rational_core import factorial, rat_pow, superfactorial
 
@@ -176,10 +174,7 @@ def det_cramer_numerator(n: int, k: int, b: Fraction) -> Fraction:
 
         (-1)^(n-k) * b^(n(n+1)/2) * n! * (1! * 2! * ... * n!) / (k! * (n-k)!)
 
-    The division is always exact, so it is an integer division.  The value is
-    entry k of det_cramer_numerators(n, b); this function forms only its own
-    entry, because verify_cramer asks for one k at a time and indexing the
-    batch would form all n + 1 entries for each of them.
+    The division is always exact, so it is an integer division.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -187,19 +182,6 @@ def det_cramer_numerator(n: int, k: int, b: Fraction) -> Fraction:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k} n={n}")
     quotient = factorial(n) * superfactorial(n) // (factorial(k) * factorial(n - k))
     return (-quotient if (n - k) % 2 else quotient) * rat_pow(b, n * (n + 1) // 2)
-
-
-def det_cramer_numerators(n: int, b: Fraction) -> list[Fraction]:
-    """Every closed-form Cramer numerator of order n: det_cramer_numerator(n, k, b), k = 0..n.
-
-    n! * (1! * 2! * ... * n!) and b^(n(n+1)/2) are formed once, and every k!
-    comes from one running product.
-    """
-    scaled = factorial(n) * superfactorial(n)
-    power = rat_pow(b, n * (n + 1) // 2)
-    factorials = list(accumulate(range(1, n + 1), operator.mul, initial=1))
-    quotients = [scaled // (factorials[k] * factorials[n - k]) for k in range(n + 1)]
-    return [(-q if (n - k) % 2 else q) * power for k, q in enumerate(quotients)]
 
 
 def det_bareiss(matrix: ExactMatrix) -> Fraction:

@@ -28,7 +28,6 @@ from boolekit.vandermonde import (
     SingularMatrixError,
     build_system,
     det_cramer_numerator,
-    det_cramer_numerators,
     solve_exact,
 )
 
@@ -525,10 +524,8 @@ class TestVerifyCramer:
         (expected_value, (Fraction(0), Fraction(1), -1, 0)),
         (verify_generalized_boole, (Fraction(0), Fraction(1), -1)),
         (det_cramer_numerator, (-1, 0, Fraction(1))),
-        (det_cramer_numerators, (-1, Fraction(1))),
     ],
-    ids=["generalized_sum", "expected_value", "verify_generalized_boole", "det_cramer_numerator",
-         "det_cramer_numerators"],
+    ids=["generalized_sum", "expected_value", "verify_generalized_boole", "det_cramer_numerator"],
 )
 def test_negative_order_rejected(function, args):
     with pytest.raises(ValueError, match="must be >= 0, got"):

@@ -649,8 +649,7 @@ FAULTS = [
       "difference_rows"]),
     (["solve"], cli, ["solve_exact", "closed_form_solution"]),
     (["det", "--b", "2/5"], cli, ["det_vandermonde_closed", "det_vandermonde_general",
-                                  "cramer_numerators", "det_cramer_numerators",
-                                  "closed_form_solution"]),
+                                  "cramer_numerators", "closed_form_solution"]),
     (["stirling"], bi, ["boole_sums", "stirling_rows", "difference_rows"]),
     (["bench"], cli, ["det_vandermonde_closed", "det_bareiss"]),
 ]
@@ -677,7 +676,7 @@ class TestFaultMatrix:
             assert document["agree"] is False
 
     @pytest.mark.parametrize("route, drop_last", [
-        ("det_cramer_numerators", lambda numerators: numerators[:-1]),
+        ("closed_form_solution", lambda signed: signed[:-1]),
         ("cramer_numerators", lambda result: (result[0], result[1][:-1])),
     ], ids=["closed", "elimination"])
     def test_a_short_column_list_fails_det(self, capsys, monkeypatch, route, drop_last):
@@ -1174,6 +1173,24 @@ class TestModuleEntryPoint:
         )
         assert completed.returncode == EXIT_OK
         assert "total=6 failures=0" in completed.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n-max", "4", "--trials", "2", "--format", "json"],
+        ["solve", "--a", "1/3", "--b", "2/7", "--n", "6", "--format", "text"],
+        ["det", "--a", "1/2", "--b", "2/3", "--n", "6", "--format", "csv"],
+        ["stirling", "--m-max", "5", "--n-max", "4", "--format", "csv"],
+        ["bench", "--n-max", "3", "--format", "text"],
+    ], ids=lambda argv: argv[0])
+    def test_no_command_warns_under_dash_w_error(self, argv):
+        # A deprecation in argparse, fractions or csv, at import or at run, fails the child.
+        completed = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "boolekit", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert completed.stderr == ""
+        assert completed.returncode == EXIT_OK
+        assert completed.stdout
 
     def test_out_of_memory_is_a_usage_exit(self):
         # The child caps only its own address space; --n 5000 needs far more.

@@ -47,7 +47,7 @@ PASSING = {
 _REAL_EXPECTED_VALUE = bi.expected_value
 _REAL_STIRLING_ROWS = bi.stirling_rows
 _REAL_CRAMER_NUMERATOR = vm.det_cramer_numerator
-_REAL_CRAMER_NUMERATORS = vm.det_cramer_numerators
+_REAL_CLOSED_FORM_SOLUTION = bi.closed_form_solution
 
 
 def _wrong_expected_value(a, b, n, m):
@@ -67,8 +67,8 @@ def _wrong_cramer_numerator(n, k, b):
     return value * 2 if k == 1 else value
 
 
-def _wrong_cramer_numerators(n, b):
-    values = _REAL_CRAMER_NUMERATORS(n, b)
+def _wrong_closed_form_solution(n):
+    values = _REAL_CLOSED_FORM_SOLUTION(n)
     values[1] *= 2
     return values
 
@@ -89,7 +89,7 @@ FAILING = {
     ),
     "fail-cramer-numerator": (
         ["det", "--a", "1", "--b", "-1/2", "--n", "2"],
-        [(cli, "det_cramer_numerators", _wrong_cramer_numerators)],
+        [(cli, "closed_form_solution", _wrong_closed_form_solution)],
     ),
     "fail-cramer-numerator-verify": (
         ["verify", "--a", "1", "--b", "-1/2", "--n-max", "2", "--m-max", "2"],

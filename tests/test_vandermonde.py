@@ -21,7 +21,6 @@ from boolekit.vandermonde import (
     cramer_numerators,
     det_bareiss,
     det_cramer_numerator,
-    det_cramer_numerators,
     det_vandermonde_closed,
     det_vandermonde_general,
     solve_exact,
@@ -286,16 +285,18 @@ class TestDetCramerNumerator:
     @example(Fraction(0), 0)
     @example(Fraction(0), 5)
     @settings(deadline=None)
-    def test_batch_is_each_component_and_the_definition(self, b, n):
+    def test_cramer_rule_on_the_closed_forms_is_the_paper_formula(self, b, n):
         power = b ** (n * (n + 1) // 2)
         scaled = math.factorial(n) * superfactorial(n)
-        definition = [
-            Fraction((-1) ** (n - k) * scaled, math.factorial(k) * math.factorial(n - k)) * power
-            for k in range(n + 1)
-        ]
-        batch = det_cramer_numerators(n, b)
-        assert batch == [det_cramer_numerator(n, k, b) for k in range(n + 1)] == definition
-        assert all(type(value) is Fraction for value in batch)
+        closed = det_vandermonde_closed(n, b)
+        for k, signed in enumerate(closed_form_solution(n)):
+            definition = (
+                Fraction((-1) ** (n - k) * scaled, math.factorial(k) * math.factorial(n - k))
+                * power
+            )
+            numerator = det_cramer_numerator(n, k, b)
+            assert closed * signed == numerator == definition
+            assert type(numerator) is Fraction
 
     def test_cramer_ratio_gives_signed_binomials(self):
         for n in range(0, 31):
