@@ -17,6 +17,8 @@ from .boole_identity import (
     generalized_sum,
     generalized_sums,
     stirling2,
+    stirling_case,
+    stirling_grid,
     stirling_rows,
     verify_cramer,
     verify_generalized_boole,
@@ -71,6 +73,8 @@ __all__ = [
     "boole_sums",
     "stirling2",
     "stirling_rows",
+    "stirling_grid",
+    "stirling_case",
     "forward_difference_at_zero",
     "difference_rows",
     "generalized_sum",

@@ -17,7 +17,9 @@ independent routes so that a bug in one route cannot silently confirm itself:
   component.
 
 The verify_* sweeps return in-memory reports of flat CaseResult records, one
-per checked case; serialization is the cli module's concern.
+per checked case; serialization is the cli module's concern.  stirling_grid
+gives the Stirling checks as int tuples, so a caller builds records
+(stirling_case) only for the points it shows.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ from .vandermonde import (
     solve_exact,
 )
 
-# The one zero every vanishing sum and closed form shares; Fractions are immutable.
+# The one zero every vanishing sum and closed form shares, and the Stirling grid's
+# unit step; Fractions are immutable.
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class CaseResult(namedtuple("CaseResult", "n m a b lhs rhs passed")):
@@ -253,33 +257,48 @@ def verify_generalized_boole(a: Fraction, b: Fraction, n_max: int) -> Verificati
     return VerificationReport(tuple(results))
 
 
+def stirling_grid(m_max: int, n_max: int) -> list[tuple[int, int, int, int, int, bool]]:
+    """Points (m, n, S(m,n), n! * S(m,n), boole_sum(n, m), passed) of the full grid, by n, then m.
+
+    Three separate int tables give every value: boole_sums, stirling_rows
+    (scaled by n! once per n) and difference_rows; passed is the three-way
+    agreement sum == n! * S(m,n) == difference at every point.  A table of
+    another shape than the grid raises ValueError.
+    """
+    partitions = zip(*stirling_rows(m_max, n_max), strict=True)
+    differences = zip(*difference_rows(m_max, n_max), strict=True)
+    ms = range(m_max + 1)
+    grid = []
+    for n, (sums, column, steps) in enumerate(
+        zip(boole_sums(n_max, m_max), partitions, differences, strict=True)
+    ):
+        n_factorial = factorial(n)
+        scaled = [n_factorial * s for s in column]
+        agree = map(operator.and_, map(operator.eq, sums, scaled), map(operator.eq, sums, steps))
+        grid.extend(zip(ms, repeat(n, m_max + 1), column, scaled, sums, agree, strict=True))
+    return grid
+
+
+def stirling_case(point: tuple[int, int, int, int, int, bool]) -> CaseResult:
+    """The record of one stirling_grid point at the nodes (a, b) = (0, 1), built by _make.
+
+    lhs is the sum (the shared zero when it vanishes); rhs is lhs again when
+    the point passes, else n! * S(m,n).
+    """
+    m, n, _, scaled, direct, passed = point
+    lhs = Fraction(direct) if direct else _ZERO
+    return CaseResult._make((n, m, _ZERO, _ONE, lhs, lhs if passed else Fraction(scaled), passed))
+
+
 def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
     """Check boole_sum(n,m) = n! * S(m,n) over the full (m, n) grid, ordered by n, then m.
 
     A case passes only if the forward-difference table produces the same
     value as well, so each grid point is a three-way agreement between
     direct summation, the Stirling recurrence, and repeated differencing.
-    Three separate int tables give every value: boole_sums (lhs),
-    stirling_rows (n! * S(m,n), n! once per row) and difference_rows.  Each
-    case records its sum as one Fraction (the shared zero when it vanishes)
-    and carries it again as rhs when it passes, or Fraction(n! * S(m,n))
-    when it fails, at the nodes (a, b) = (0, 1).  These values are
-    canonical, so the records are built by CaseResult._make.
+    The report holds one stirling_case record per stirling_grid point.
     """
-    partitions = stirling_rows(m_max, n_max)
-    differences = difference_rows(m_max, n_max)
-    one = Fraction(1)
-    make = CaseResult._make
-    results = []
-    for n, sums in enumerate(boole_sums(n_max, m_max)):
-        n_factorial = factorial(n)
-        for m, direct in enumerate(sums):
-            scaled = n_factorial * partitions[m][n]
-            passed = direct == scaled and direct == differences[m][n]
-            lhs = Fraction(direct) if direct else _ZERO
-            rhs = lhs if passed else Fraction(scaled)
-            results.append(make((n, m, _ZERO, one, lhs, rhs, passed)))
-    return VerificationReport(tuple(results))
+    return VerificationReport(tuple(map(stirling_case, stirling_grid(m_max, n_max))))
 
 
 def verify_cramer(a: Fraction, b: Fraction, n: int) -> VerificationReport:

@@ -6,14 +6,14 @@ table with verification column), bench (closed form vs elimination timing).
 
 Each command computes once and returns a record, its csv Table and lazy text
 lines.  A Table declares the keys of a list of rows once; each row is a tuple of
-values in the order of the keys, so the sweeps' CaseResults are rows as they
-are.  One table gives the json and csv forms of each scalar type.  Both writers
-render each distinct scalar once per document; json sends every row of a Table
-through one template built from its keys, and csv is the Table's keys, then its
-rows; text is as given.  main opens the destination (--output, else stdout)
-before the command runs and writes the chosen format to it once.  Every rational
-inside json or csv output uses the canonical "p/q" form so it parses back with
-parse_rational.
+values in the order of the keys, so the sweeps' CaseResults and the Stirling
+grid's points are rows as they are.  One table gives the json and csv forms of
+each scalar type.  Both writers render each distinct scalar once per document;
+json sends every row of a Table through one template built from its keys, and
+csv is the Table's keys, then its rows; text is as given.  main opens the
+destination (--output, else stdout) before the command runs and writes the
+chosen format to it once.  Every rational inside json or csv output uses the
+canonical "p/q" form so it parses back with parse_rational.
 
 A command line that starts with a command name is parsed by that command's
 parser alone.  Only any other command line (no arguments, -h, an unknown
@@ -50,11 +50,12 @@ from fractions import Fraction
 from .boole_identity import (
     CaseResult,
     closed_form_solution,
+    stirling_case,
+    stirling_grid,
     verify_cramer,
     verify_generalized_boole,
-    verify_stirling,
 )
-from .rational_core import factorial, format_rational, parse_rational
+from .rational_core import format_rational, parse_rational
 from .vandermonde import (
     ArithmeticNodes,
     SingularMatrixError,
@@ -323,20 +324,24 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
 
     Cramer component checks (per pair with nonzero b, at order n_max) and the
     Stirling grid run as gates: when they pass they only add summary notes,
-    when they fail their failing cases join the report and force exit 1.
+    when they fail their failing cases join the report and force exit 1.  The
+    Stirling gate reads stirling_grid's int points and builds a record only
+    for a point that failed.
     """
     pairs = [(args.a, args.b)] + seeded_parameter_pairs(args.seed, args.trials)
     cases: list[CaseResult] = []
     for a, b in pairs:
         cases.extend(verify_generalized_boole(a, b, args.n_max).results)
     cramer = [verify_cramer(a, b, args.n_max) for a, b in pairs if b != 0]
-    stirling = verify_stirling(args.m_max, args.n_max)
-    cases.extend(r for report in (*cramer, stirling) for r in report.results if not r.passed)
+    cases.extend(r for report in cramer for r in report.results if not r.passed)
+    stirling_failed = [stirling_case(point) for point in stirling_grid(args.m_max, args.n_max)
+                       if not point[5]]
+    cases.extend(stirling_failed)
     notes = (
         f"cramer component checks passed for {sum(r.ok for r in cramer)} of {len(cramer)} "
         f"pair(s) at n = {args.n_max}, skipped for {len(pairs) - len(cramer)} pair(s) with b = 0",
         f"stirling grid m <= {args.m_max}, n <= {args.n_max}: "
-        + ("ok" if stirling.ok else "FAILED"),
+        + ("FAILED" if stirling_failed else "ok"),
     )
     failures = sum(1 for result in cases if not result.passed)
     table = Table(("n", "m", "a", "b", "lhs", "rhs", "pass"), cases)
@@ -446,17 +451,14 @@ def cmd_det(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_stirling(args: argparse.Namespace) -> Outcome:
-    """verify_stirling's three-route grid as a table of S(m,n), n! * S(m,n) and the sum, by m."""
-    report = verify_stirling(args.m_max, args.n_max)
-    factorials = [factorial(n) for n in range(args.n_max + 1)]
-    # verify_stirling orders its records by n, then m, so row m is every
-    # (m_max + 1)-th record from m on.
+    """stirling_grid's three-route points as the table's rows, each as it is, by m, then n."""
+    grid = stirling_grid(args.m_max, args.n_max)
+    # stirling_grid orders its points by n, then m, so row m is every
+    # (m_max + 1)-th point from m on.
     step = args.m_max + 1
-    table = Table(("m", "n", "stirling2", "scaled", "boole_sum", "agree"), [
-        (r.m, r.n, r.rhs.numerator // factorials[r.n], r.rhs.numerator, r.lhs.numerator, r.passed)
-        for m in range(step) for r in report.results[m::step]
-    ])
-    agree = report.ok
+    table = Table(("m", "n", "stirling2", "scaled", "boole_sum", "agree"),
+                  [point for m in range(step) for point in grid[m::step]])
+    agree = all(point[5] for point in grid)
     record = {
         "command": "stirling",
         "params": {"m_max": args.m_max, "n_max": args.n_max},

@@ -17,6 +17,7 @@ from boolekit.boole_identity import (
     generalized_sum,
     generalized_sums,
     stirling2,
+    stirling_grid,
     stirling_rows,
     verify_cramer,
     verify_generalized_boole,
@@ -487,6 +488,25 @@ class TestVerifyStirling:
             assert type(r.lhs) is Fraction and type(r.rhs) is Fraction
             assert (r.a, r.b) == (0, 1) and type(r.a) is Fraction and type(r.b) is Fraction
             assert r.lhs == r.rhs == boole_sum(r.n, r.m) and r.passed
+
+
+class TestStirlingGrid:
+    def test_points_are_table_rows_by_n_then_m(self):
+        grid = stirling_grid(3, 2)
+        assert [(m, n) for m, n, *_ in grid] == [(m, n) for n in range(3) for m in range(4)]
+        assert grid[-1] == (3, 2, 3, 6, 6, True)
+        assert all(type(point) is tuple for point in grid)
+
+    @pytest.mark.parametrize("route", ["boole_sums", "stirling_rows", "difference_rows"])
+    @pytest.mark.parametrize("cut", [
+        lambda rows: rows[:-1],
+        lambda rows: [rows[0][:-1], *rows[1:]],
+    ], ids=["row", "entry"])
+    def test_a_table_of_another_shape_raises(self, monkeypatch, route, cut):
+        genuine = getattr(bi, route)
+        monkeypatch.setattr(bi, route, lambda *args: cut(genuine(*args)))
+        with pytest.raises(ValueError):
+            stirling_grid(4, 3)
 
 
 class TestVerifyCramer:

@@ -37,7 +37,7 @@ from boolekit.cli import (
     random_rational,
     seeded_parameter_pairs,
 )
-from boolekit.rational_core import format_rational, parse_rational
+from boolekit.rational_core import factorial, format_rational, parse_rational
 
 RATIONAL_PATTERN = r"^-?\d+/\d+$"
 
@@ -598,6 +598,87 @@ class TestStirlingCommand:
         # The Stirling grid's sums are ints: no Fraction power-sum table is built for it.
         monkeypatch.setattr(bi, "generalized_sums", refuse)
         assert run_cli(capsys, "stirling", "--m-max", "7", "--n-max", "5")[0] == EXIT_OK
+
+    def test_passing_grid_builds_no_record(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a passing grid point needs no record")
+
+        class Refused:
+            __new__ = _make = refuse
+
+        monkeypatch.setattr(bi, "verify_stirling", refuse)
+        monkeypatch.setattr(cli, "stirling_case", refuse)
+        assert run_cli(capsys, "verify", "--n-max", "5", "--m-max", "7")[0] == EXIT_OK
+        monkeypatch.setattr(bi, "CaseResult", Refused)
+        assert run_cli(capsys, "stirling", "--m-max", "7", "--n-max", "5")[0] == EXIT_OK
+
+    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
+    @settings(deadline=None, max_examples=30)
+    def test_rows_are_the_definitional_values(self, m_max, n_max):
+        code, document = document_of(
+            ["stirling", "--m-max", str(m_max), "--n-max", str(n_max)], "json")
+        assert code == EXIT_OK
+        rows = json.loads(document)["rows"]
+        assert [(row["m"], row["n"]) for row in rows] == [
+            (m, n) for m in range(m_max + 1) for n in range(n_max + 1)
+        ]
+        for row in rows:
+            m, n = row["m"], row["n"]
+            partitions = bi.stirling2(m, n)
+            direct = bi.boole_sum(n, m)
+            assert (row["stirling2"], row["scaled"], row["boole_sum"], row["agree"]) == (
+                partitions, factorial(n) * partitions, direct, True)
+            assert bi.forward_difference_at_zero(m, n) == direct
+
+
+def _moved(route, index):
+    """route's table with one entry moved by 1: row index(rows), entry index(len(row)) in it."""
+    genuine = getattr(bi, route)
+
+    def moved(*args):
+        rows = [list(row) for row in genuine(*args)]
+        row = rows[index(len(rows))]
+        row[index(len(row))] += 1
+        return rows
+
+    return moved
+
+
+def _middle(size):
+    return size // 2
+
+
+def _last(size):
+    return size - 1
+
+
+class TestStirlingGate:
+    """verify's Stirling failures are verify_stirling's failing records, case for case."""
+
+    @pytest.mark.parametrize("m_max, n_max", [(0, 0), (0, 4), (5, 0), (3, 6), (7, 5), (9, 2)])
+    @pytest.mark.parametrize("faults", [
+        [("boole_sums", _middle)],
+        [("stirling_rows", _middle)],
+        [("difference_rows", _middle)],
+        [("boole_sums", _middle), ("stirling_rows", _last)],
+        [("stirling_rows", _middle), ("difference_rows", _last)],
+        [("difference_rows", _middle), ("boole_sums", _last)],
+    ], ids=["sums", "stirling", "differences", "sums-stirling", "stirling-differences",
+            "differences-sums"])
+    def test_gate_failures_are_the_sweep_failures(self, monkeypatch, m_max, n_max, faults):
+        for route, index in faults:
+            monkeypatch.setattr(bi, route, _moved(route, index))
+        expected = [r for r in bi.verify_stirling(m_max, n_max).results if not r.passed]
+        assert expected
+        code, document = document_of(["verify", "--a", "1/3", "--b", "2/5", "--n-max",
+                                      str(n_max), "--m-max", str(m_max)], "json")
+        assert code == EXIT_FAILURE
+        failed = [
+            (case["n"], case["m"], *map(Fraction, (case["a"], case["b"], case["lhs"], case["rhs"])),
+             case["pass"])
+            for case in json.loads(document)["cases"] if not case["pass"]
+        ]
+        assert failed == [tuple(r) for r in expected]
 
 
 class TestBenchCommand:
