@@ -38,7 +38,6 @@ from .vandermonde import (
     LinearSystem,
     SingularMatrixError,
     build_system,
-    cramer_numerators,
     det_bareiss,
     det_cramer_numerator,
     det_vandermonde_closed,
@@ -64,7 +63,6 @@ __all__ = [
     "det_vandermonde_closed",
     "det_cramer_numerator",
     "det_bareiss",
-    "cramer_numerators",
     "solve_exact",
     "CaseResult",
     "VerificationReport",

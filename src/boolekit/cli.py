@@ -60,7 +60,6 @@ from .vandermonde import (
     ArithmeticNodes,
     SingularMatrixError,
     build_system,
-    cramer_numerators,
     det_bareiss,
     det_vandermonde_closed,
     det_vandermonde_general,
@@ -404,14 +403,18 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
 def cmd_det(args: argparse.Namespace) -> Outcome:
     """Compare the three determinant routes and every Cramer numerator, from the nodes.
 
-    Each closed numerator is Cramer's rule on the closed forms, the closed
-    determinant times its signed binomial, and its column checks it against
-    the numerator from elimination.
+    Each column is Cramer's rule twice: on the closed forms, the closed
+    determinant times its signed binomial, and on the generic routes,
+    det_bareiss times the component from solve_exact.
     """
     nodes = ArithmeticNodes(args.a, args.b, args.n)
     closed = det_vandermonde_closed(args.n, args.b)
     pairwise = det_vandermonde_general(nodes.values())
-    eliminated, substituted_columns = cramer_numerators(nodes)
+    eliminated = det_bareiss(nodes)
+    # A zero determinant means the nodes coincide (b = 0, n >= 1), so the
+    # right-hand side b^n n! is 0 and every substituted matrix has a zero column.
+    substituted_columns = ([eliminated * x for x in solve_exact(nodes)] if eliminated
+                           else [eliminated] * (args.n + 1))
     numerators = [closed * signed for signed in closed_form_solution(args.n)]
     columns = Table(("k", "closed", "elimination", "agree"), [
         (k, numerator, substituted, numerator == substituted)

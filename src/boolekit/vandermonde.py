@@ -6,8 +6,9 @@ right-hand side is (0, ..., 0, b^n * n!).  The coefficient matrix is a
 Vandermonde matrix, so its determinant has a closed form; the same goes for
 the column-substituted determinants that appear as Cramer-rule numerators.
 Generic exact routes (pairwise-difference product, fraction-free integer
-elimination) serve as independent cross-checks; cramer_numerators gets the
-determinant and every Cramer numerator from one fraction-free elimination.
+elimination) serve as independent cross-checks; det_bareiss takes the nodes
+themselves, as solve_exact does, so Cramer's rule det_k = det * x_k on those
+two gives every numerator by elimination.
 
 solve_exact, a certified p-adic solver with elimination behind it, gives
 its design in its own docstring.
@@ -184,18 +185,23 @@ def det_cramer_numerator(n: int, k: int, b: Fraction) -> Fraction:
     return (-quotient if (n - k) % 2 else quotient) * rat_pow(b, n * (n + 1) // 2)
 
 
-def det_bareiss(matrix: ExactMatrix) -> Fraction:
+def det_bareiss(matrix: ExactMatrix | ArithmeticNodes) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
-    Each row is first scaled to integers by the least common multiple of its
-    denominators; _eliminate then eliminates over integers, and the
-    accumulated row scales are divided back out of the determinant it
-    returns, 0 for a singular matrix.
+    Nodes stand for their power-sum matrix, whose integer rows come from
+    the scaled nodes (_integer_rows; the right-hand side rides along
+    unread).  A matrix has each row scaled to integers by the least common
+    multiple of its denominators.  _eliminate then eliminates over
+    integers, and the accumulated row scales are divided back out of the
+    determinant it returns, 0 for a singular matrix.
     """
-    if matrix.rows != matrix.cols:
+    if isinstance(matrix, ArithmeticNodes):
+        rows, cleared = _integer_rows(matrix)
+    elif matrix.rows != matrix.cols:
         raise ValueError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
-    rows, cleared = _clear_rows(matrix.row(i) for i in range(matrix.rows))
-    return Fraction(_eliminate(rows, matrix.rows), cleared)
+    else:
+        rows, cleared = _clear_rows(matrix.row(i) for i in range(matrix.rows))
+    return Fraction(_eliminate(rows, len(rows)), cleared)
 
 
 def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Fraction]:
@@ -236,28 +242,6 @@ def solve_exact(system: LinearSystem | ArithmeticNodes) -> list[Fraction]:
             raise SingularMatrixError(f"no pivot available in column {k}: matrix is singular")
         return _back_substitute(augmented, n)
     return solution
-
-
-def cramer_numerators(nodes: ArithmeticNodes) -> tuple[Fraction, list[Fraction]]:
-    """Determinant of the nodes' power-sum matrix and every Cramer numerator, from one elimination.
-
-    For nodes of order n returns (det, [det_0, ..., det_n]), where det_k is
-    the determinant of the matrix with column k replaced by the right-hand
-    side.  One fraction-free pass over the integer augmented rows gives the
-    determinant and, by back-substitution, the solution x; Cramer's rule
-    then gives det_k = det * x_k.  Raises TypeError for anything but
-    ArithmeticNodes.
-    """
-    if not isinstance(nodes, ArithmeticNodes):
-        raise TypeError(f"cramer_numerators takes ArithmeticNodes, got {type(nodes).__name__}")
-    augmented, cleared = _integer_rows(nodes)
-    n = len(augmented)
-    det = Fraction(_eliminate(augmented, n), cleared)
-    if not det:
-        # The nodes coincide (b = 0), so the right-hand side b^n n! is 0 and
-        # every substituted matrix has a zero column.
-        return det, [det] * n
-    return det, [det * x for x in _back_substitute(augmented, n)]
 
 
 def _integer_rows(system: LinearSystem | ArithmeticNodes) -> tuple[list[list[int]], int]:

@@ -488,6 +488,17 @@ class TestDetCommand:
         assert [column["elimination"] for column in document["columns"]] == ["0/1"] * (n + 1)
         assert document["agree"] is True
 
+    def test_step_singular_modulo_the_prime_is_solved_by_elimination(self, capsys, monkeypatch):
+        # Nodes k * _PRIME coincide modulo the prime, so solve_exact falls back
+        # to elimination, after det_bareiss's own.
+        eliminations, _ = self.count_eliminations_and_copies(monkeypatch)
+        code, out = run_cli(
+            capsys, "det", "--b", str(vandermonde._PRIME), "--n", "3", "--format", "csv"
+        )
+        assert code == EXIT_OK
+        assert out.rstrip().splitlines()[-1] == "agree,true"
+        assert eliminations == [4, 4]
+
     @staticmethod
     def count_eliminations_and_copies(monkeypatch):
         eliminations, copies = [], []
@@ -730,7 +741,7 @@ FAULTS = [
       "difference_rows"]),
     (["solve"], cli, ["solve_exact", "closed_form_solution"]),
     (["det", "--b", "2/5"], cli, ["det_vandermonde_closed", "det_vandermonde_general",
-                                  "cramer_numerators", "closed_form_solution"]),
+                                  "det_bareiss", "solve_exact", "closed_form_solution"]),
     (["stirling"], bi, ["boole_sums", "stirling_rows", "difference_rows"]),
     (["bench"], cli, ["det_vandermonde_closed", "det_bareiss"]),
 ]
@@ -758,7 +769,7 @@ class TestFaultMatrix:
 
     @pytest.mark.parametrize("route, drop_last", [
         ("closed_form_solution", lambda signed: signed[:-1]),
-        ("cramer_numerators", lambda result: (result[0], result[1][:-1])),
+        ("solve_exact", lambda solution: solution[:-1]),
     ], ids=["closed", "elimination"])
     def test_a_short_column_list_fails_det(self, capsys, monkeypatch, route, drop_last):
         genuine = getattr(cli, route)

@@ -24,7 +24,6 @@ from boolekit.vandermonde import (
     ExactMatrix,
     LinearSystem,
     build_system,
-    cramer_numerators,
     det_bareiss,
     det_vandermonde_closed,
     det_vandermonde_general,
@@ -285,56 +284,55 @@ def scale_power_short(monkeypatch):
 # Exit code of each command under each mutant.  The integer_powers mutant is
 # invisible: every command reads the nodes' powers only through sums and systems
 # that do not depend on the offset.  _signed_power_sums feeds only the identity
-# and Stirling sums.  _eliminate and _back_substitute run in det, while solve and
-# verify's Cramer gate, whose systems all have b != 0, are settled by p-adic
-# lifting, which does not eliminate.  Their signed binomials are at most
-# C(6, 3) = 20, far below _PRIME, so one lifting step certifies each of them.
-# Under the shifted digit the certificate rejects every lifted candidate, and
-# elimination settles the system.  The
-# unreduced digit keeps the expansion right modulo the modulus but out of
-# range, so its balanced residues can be wrong (at order 6, whose middle entry
-# is -20, they are): the certificate rejects them, and elimination settles the
-# system.  The _factor_mod_prime multiplier mutant is invisible: a power-sum
-# system's right-hand side is zero above its last row, so forward substitution
-# multiplies every multiplier by zero, and the first digit vector is already
-# certified.  The
-# last inverse pivot is another matter: it scales the one nonzero entry of the
-# forward substitution, so every digit vector is wrong, the certificate rejects
-# every candidate, and elimination settles the system with the genuine answer.
+# and Stirling sums.  _eliminate runs in det, through det_bareiss.  The systems
+# of solve, of det's solve_exact and of verify's Cramer gate all have b != 0
+# and are settled by p-adic lifting, which neither eliminates nor
+# back-substitutes, so no command reaches _back_substitute on these nodes
+# (test_back_substitution_mutants_fail_a_step_of_the_prime reaches it).
+# Their signed binomials are at most C(6, 3) = 20, far below _PRIME, so one
+# lifting step certifies each of them.  Under the shifted digit the
+# certificate rejects every lifted candidate, and elimination settles the
+# system.  The unreduced digit keeps the expansion right modulo the modulus
+# but out of range, so its balanced residues can be wrong (at order 6, whose
+# middle entry is -20, they are): the certificate rejects them, and
+# elimination settles the system.  The _factor_mod_prime multiplier mutant is
+# invisible: a power-sum system's right-hand side is zero above its last row,
+# so forward substitution multiplies every multiplier by zero, and the first
+# digit vector is already certified.  The last inverse pivot is another
+# matter: it scales the one nonzero entry of the forward substitution, so
+# every digit vector is wrong, the certificate rejects every candidate, and
+# elimination settles the system with the genuine answer.
 # test_lifting_mutants_never_change_the_solution shows each lifting mutant on
-# solve_exact; det and stirling never lift.  _eliminate returns the
-# determinant read off its last pivot: shifting that pivot moves both the
-# returned determinant and back-substitution's last component, and a flipped
-# sign negates the determinant; each reaches only det, through
-# cramer_numerators.  The flipped sign in _back_substitute reaches only det's
-# cramer_numerators too.  Without the division by the previous pivot,
-# _eliminate still makes valid row combinations, so the solution is
-# unchanged, but the last pivot, and so the determinant it returns, is wrong,
-# and only det reads it.  Unreduced heads in _factor_mod_prime are still right
-# modulo _PRIME, and only a head that is a nonzero multiple of _PRIME would
-# pick another pivot, so no command sees them.  An unreduced tail is right
-# modulo _PRIME too, but the row updates it feeds overflow their slots, so the
-# factors are wrong: the certificate rejects every lifted candidate, and
-# elimination settles each system of solve and of verify's Cramer gate.  A
-# scale left out of _clear_rows reaches det through det_vandermonde_general;
-# solve_exact never reads the product of scales, and the other commands do
-# not clear rows of rationals.  _integer_rows from nodes feeds solve_exact in
-# solve and cramer_numerators in det; verify's Cramer gate clears
-# build_system's rows instead, so it sees neither of its mutants.  A
-# right-hand side one power of B short divides the solution by B, so solve
-# and det both fail; only the determinant reads the product of scales, so
-# only det sees it one power of D short.
+# solve_exact; stirling never lifts.  _eliminate returns the determinant read
+# off its last pivot: shifting that pivot moves the returned determinant, and
+# a flipped sign negates it; each reaches only det, through det_bareiss.
+# Without the division by the previous pivot, _eliminate still makes valid row
+# combinations, so the solution is unchanged, but the last pivot, and so the
+# determinant it returns, is wrong, and only det reads it.  Unreduced heads in
+# _factor_mod_prime are still right modulo _PRIME, and only a head that is a
+# nonzero multiple of _PRIME would pick another pivot, so no command sees
+# them.  An unreduced tail is right modulo _PRIME too, but the row updates it
+# feeds overflow their slots, so the factors are wrong: the certificate
+# rejects every lifted candidate, and elimination settles each system of
+# solve, of det and of verify's Cramer gate.  A scale left out of _clear_rows
+# reaches det through det_vandermonde_general; solve_exact never reads the
+# product of scales, and the other commands do not clear rows of rationals.
+# _integer_rows from nodes feeds solve_exact in solve and det, and det_bareiss
+# in det; verify's Cramer gate clears build_system's rows instead, so it sees
+# neither of its mutants.  A right-hand side one power of B short divides the
+# solution by B, so solve and det both fail; only the determinant reads the
+# product of scales, so only det sees it one power of D short.
 FAULT_TABLE = [
     (offset_moved, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK, "stirling": EXIT_OK}),
     (entry_negated, {"verify": EXIT_FAILURE, "solve": EXIT_OK, "det": EXIT_OK,
                      "stirling": EXIT_FAILURE}),
     (last_pivot_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
                           "stirling": EXIT_OK}),
-    (middle_component_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
+    (middle_component_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
                                 "stirling": EXIT_OK}),
     (sign_flipped, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
                     "stirling": EXIT_OK}),
-    (middle_component_negated, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
+    (middle_component_negated, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
                                 "stirling": EXIT_OK}),
     (middle_digit_shifted, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK,
                             "stirling": EXIT_OK}),
@@ -428,6 +426,19 @@ def test_lifting_mutants_never_change_the_solution(monkeypatch, mutant, system, 
     assert calls == [7] * eliminations
 
 
+@pytest.mark.parametrize("mutant", [middle_component_shifted, middle_component_negated])
+@pytest.mark.parametrize("command", ["solve", "det"])
+def test_back_substitution_mutants_fail_a_step_of_the_prime(capsys, monkeypatch, mutant, command):
+    """Nodes k * _PRIME coincide modulo the prime, so elimination and back-substitution solve."""
+    argv = [command, "--b", str(vandermonde._PRIME), "--n", "3"]
+    genuine_code, _ = json_run(capsys, argv)
+    assert genuine_code == EXIT_OK
+    mutant(monkeypatch)
+    code, document = json_run(capsys, argv)
+    assert code == EXIT_FAILURE
+    assert json.loads(document)["agree"] is False
+
+
 def test_unreduced_heads_raise_where_a_pivot_vanishes_modulo_the_prime(monkeypatch):
     """A leading 2x2 block singular modulo _PRIME leaves a head equal to _PRIME after column 0.
 
@@ -456,5 +467,5 @@ def test_dropped_scale_reaches_every_reader_of_the_product(monkeypatch):
     last_scale_dropped(monkeypatch)
     assert det_bareiss(MATRIX) != closed
     assert det_vandermonde_general(NODES.values()) != closed
-    assert cramer_numerators(NODES)[0] == closed
+    assert det_bareiss(NODES) == closed
     assert solve_exact(system) == solution

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import operator
 import random
@@ -9,8 +12,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import boolekit.cli as cli
 import boolekit.vandermonde as vandermonde
 from boolekit.boole_identity import closed_form_solution
+from boolekit.cli import EXIT_OK, main
 from boolekit.rational_core import rat_pow, superfactorial
 from boolekit.vandermonde import (
     ArithmeticNodes,
@@ -18,7 +23,6 @@ from boolekit.vandermonde import (
     LinearSystem,
     SingularMatrixError,
     build_system,
-    cramer_numerators,
     det_bareiss,
     det_cramer_numerator,
     det_vandermonde_closed,
@@ -477,31 +481,41 @@ def square_systems(draw):
     return LinearSystem(ExactMatrix.from_rows(rows), tuple(rhs))
 
 
-class TestCramerNumerators:
-    @staticmethod
-    def definition(system):
-        matrix = system.matrix
-        return det_bareiss(matrix), [
-            det_bareiss(matrix.with_column(k, system.rhs)) for k in range(matrix.cols)
-        ]
+class TestCramerRuleByElimination:
+    """det's elimination numerators: det_bareiss(nodes) times solve_exact(nodes)'s components."""
 
     @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=8))
     @example(Fraction(5, 3), Fraction(0), 1)
     @example(Fraction(0), Fraction(0), 3)
     @example(Fraction(0), Fraction(3, 7), 6)
     @example(Fraction(-2), Fraction(0), 4)
+    @example(Fraction(7, 6), Fraction(0), 0)
     @settings(deadline=None)
-    def test_power_systems_zero_step_included(self, a, b, n):
+    def test_nodes_give_the_determinant_of_their_matrix(self, a, b, n):
         nodes = ArithmeticNodes(a, b, n)
-        assert cramer_numerators(nodes) == self.definition(build_system(nodes))
+        assert det_bareiss(nodes) == det_bareiss(build_system(nodes).matrix)
+
+    @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=6))
+    @example(Fraction(5, 3), Fraction(0), 1)
+    @example(Fraction(-2), Fraction(0), 4)
+    @example(Fraction(2), Fraction(0), 0)
+    @settings(deadline=None)
+    def test_det_columns_are_the_substituted_determinants(self, a, b, n):
+        system = build_system(ArithmeticNodes(a, b, n))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["det", f"--a={a}", f"--b={b}", f"--n={n}", "--format", "json"])
+        assert code == EXIT_OK
+        columns = json.loads(out.getvalue())["columns"]
+        assert [Fraction(column["elimination"]) for column in columns] == [
+            det_bareiss(system.matrix.with_column(k, system.rhs)) for k in range(n + 1)
+        ]
 
     @pytest.mark.parametrize("n", [1, 2, 6])
-    def test_singular_nodes_are_cleared_and_eliminated_once(self, monkeypatch, n):
+    def test_zero_step_det_eliminates_once_and_never_solves(self, capsys, monkeypatch, n):
         # Coinciding nodes make the right-hand side zero, so every substituted
         # matrix has a zero column: the elimination that finds the matrix
         # singular decides every numerator.
-        nodes = ArithmeticNodes(Fraction(5, 3), 0, n)
-        expected = self.definition(build_system(nodes))
         calls = []
         integer_rows = vandermonde._integer_rows
 
@@ -510,21 +524,24 @@ class TestCramerNumerators:
             return integer_rows(system)
 
         monkeypatch.setattr(vandermonde, "_integer_rows", counting)
+        monkeypatch.setattr(cli, "solve_exact", mock.Mock(side_effect=AssertionError))
         elimination_calls = TestSolvePadic.spy(monkeypatch, "_eliminate")
-        assert cramer_numerators(nodes) == expected
-        assert calls == [nodes]
+        assert main(["det", "--b", "0", "--n", str(n), "--format", "json"]) == EXIT_OK
+        document = json.loads(capsys.readouterr().out)
+        assert [column["elimination"] for column in document["columns"]] == ["0/1"] * (n + 1)
+        assert document["agree"] is True
+        assert calls == [ArithmeticNodes(0, 0, n)]
         assert len(elimination_calls) == 1
-
-    def test_rejects_a_linear_system(self):
-        with pytest.raises(TypeError, match="ArithmeticNodes"):
-            cramer_numerators(build_system(ArithmeticNodes(Fraction(1, 3), Fraction(2, 5), 3)))
 
     @pytest.mark.parametrize("n", [1, 4, 12])
     def test_power_system_numerators_are_the_closed_forms(self, n):
         b = Fraction(-7, 9)
-        det, numerators = cramer_numerators(ArithmeticNodes(Fraction(9, 8), b, n))
+        nodes = ArithmeticNodes(Fraction(9, 8), b, n)
+        det = det_bareiss(nodes)
         assert det == det_vandermonde_closed(n, b)
-        assert numerators == [det_cramer_numerator(n, k, b) for k in range(n + 1)]
+        assert [det * x for x in solve_exact(nodes)] == [
+            det_cramer_numerator(n, k, b) for k in range(n + 1)
+        ]
 
 
 class TestIntegerRowsFromNodes:
