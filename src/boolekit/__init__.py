@@ -11,6 +11,7 @@ from .boole_identity import (
     boole_sum,
     boole_sums,
     closed_form_solution,
+    cramer_gate,
     difference_rows,
     expected_value,
     forward_difference_at_zero,
@@ -81,5 +82,6 @@ __all__ = [
     "verify_generalized_boole",
     "verify_stirling",
     "verify_cramer",
+    "cramer_gate",
     "__version__",
 ]

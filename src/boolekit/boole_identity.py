@@ -19,7 +19,10 @@ independent routes so that a bug in one route cannot silently confirm itself:
 The verify_* sweeps return in-memory reports of flat CaseResult records, one
 per checked case; serialization is the cli module's concern.  stirling_grid
 gives the Stirling checks as int tuples, so a caller builds records
-(stirling_case) only for the points it shows.
+(stirling_case) only for the points it shows.  cramer_gate gives
+verify_cramer's report with the generic solver working from the nodes, as
+solve and det do; verify_cramer, which solves build_system's Fraction
+system, stays as its rational-system reference.
 """
 
 from __future__ import annotations
@@ -304,6 +307,9 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
 def verify_cramer(a: Fraction, b: Fraction, n: int) -> VerificationReport:
     """Check all n+1 solution components of the power-sum system three ways.
 
+    The rational-system reference of cramer_gate: the same report, with the
+    generic solver handed build_system's Fraction system, whose rows
+    solve_exact clears back to integers, in place of the nodes themselves.
     For each k the generic solver's solution (recorded as lhs), the
     signed binomial (-1)^(n-k) * C(n,k) (recorded as rhs), and the ratio of
     closed-form determinants must coincide; the m field of each case carries
@@ -315,12 +321,30 @@ def verify_cramer(a: Fraction, b: Fraction, n: int) -> VerificationReport:
     elimination as the decider of singularity, and no closed form or
     Vandermonde structure.  Raises ValueError for n < 0, and for b = 0 with
     n >= 1, where the nodes coincide, solve_exact's SingularMatrixError; at
-    n = 0 the system is [1] x = [1].  The solver and the signed binomials
-    give canonical Fractions, so each record is built by CaseResult._make.
+    n = 0 the system is [1] x = [1].
     """
     nodes = ArithmeticNodes(a, b, n)
-    a, b = nodes.a, nodes.b
-    solved = solve_exact(build_system(nodes))
+    return _cramer_report(nodes, solve_exact(build_system(nodes)))
+
+
+def cramer_gate(a: Fraction, b: Fraction, n: int) -> VerificationReport:
+    """verify_cramer's report, with solve_exact solving from the nodes.
+
+    solve_exact takes the integer rows of the scaled nodes, as solve and det
+    do, so no Fraction system is built or cleared; the closed-form checks
+    and the records are verify_cramer's own.  Raises as verify_cramer does.
+    """
+    nodes = ArithmeticNodes(a, b, n)
+    return _cramer_report(nodes, solve_exact(nodes))
+
+
+def _cramer_report(nodes: ArithmeticNodes, solved: list[Fraction]) -> VerificationReport:
+    """One record per component of solved, checked against its signed binomial and closed ratio.
+
+    The solver and the signed binomials give canonical Fractions, so each
+    record is built by CaseResult._make.
+    """
+    n, a, b = nodes.n, nodes.a, nodes.b
     signed_binomials = closed_form_solution(n)
     denominator = det_vandermonde_closed(n, b)
     results = []

@@ -11,6 +11,7 @@ from boolekit.boole_identity import (
     boole_sum,
     boole_sums,
     closed_form_solution,
+    cramer_gate,
     difference_rows,
     expected_value,
     forward_difference_at_zero,
@@ -537,6 +538,28 @@ class TestVerifyCramer:
             verify_cramer(Fraction(1), b, -1)
 
 
+class TestCramerGate:
+    """cramer_gate solves from the nodes; verify_cramer, its reference, from the Fraction system."""
+
+    @given(a=small_rationals, b=small_rationals, n=st.integers(min_value=0, max_value=8))
+    @example(a=Fraction(7, 3), b=Fraction(-1, 2), n=0)
+    @example(a=Fraction(7, 3), b=Fraction(0), n=0)
+    @example(a=Fraction(-1, 3), b=Fraction(0), n=1)
+    @example(a=Fraction(0), b=Fraction(0), n=5)
+    @settings(max_examples=60, deadline=None)
+    def test_gate_is_the_rational_system_reference(self, a, b, n):
+        if b == 0 and n >= 1:
+            with pytest.raises(SingularMatrixError) as gate:
+                cramer_gate(a, b, n)
+            with pytest.raises(SingularMatrixError) as reference:
+                verify_cramer(a, b, n)
+            assert str(gate.value) == str(reference.value)
+        else:
+            report = cramer_gate(a, b, n)
+            assert report == verify_cramer(a, b, n)
+            assert report.ok
+
+
 @pytest.mark.parametrize(
     "function, args",
     [
@@ -602,6 +625,10 @@ SWEEPS = [
     pytest.param(verify_cramer, (1, -2, 4), None, 0, id="cramer-int-nodes"),
     pytest.param(verify_cramer, (Fraction(1, 3), Fraction(2, 5), 6), _solution_shifted, 7,
                  id="cramer-solve-exact"),
+    pytest.param(cramer_gate, (Fraction(1, 3), Fraction(2, 5), 6), None, 0, id="cramer-gate"),
+    pytest.param(cramer_gate, (1, -2, 4), None, 0, id="cramer-gate-int-nodes"),
+    pytest.param(cramer_gate, (Fraction(1, 3), Fraction(2, 5), 6), _solution_shifted, 7,
+                 id="cramer-gate-solve-exact"),
 ]
 
 

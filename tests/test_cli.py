@@ -424,7 +424,7 @@ class TestSolveCommand:
 
 
 class TestFractionSystemOnlyForTheMatrixText:
-    """solve and det work from the nodes; only solve's text renders the Fraction matrix."""
+    """solve, det and verify work from the nodes; only solve's text renders the Fraction matrix."""
 
     @staticmethod
     def count_builds(monkeypatch):
@@ -435,8 +435,8 @@ class TestFractionSystemOnlyForTheMatrixText:
             builds.append(nodes)
             return build_system(nodes)
 
-        monkeypatch.setattr(vandermonde, "build_system", counting_build_system)
-        monkeypatch.setattr(cli, "build_system", counting_build_system)
+        for module in (vandermonde, bi, cli):
+            monkeypatch.setattr(module, "build_system", counting_build_system)
         return builds
 
     @pytest.mark.parametrize(
@@ -446,12 +446,17 @@ class TestFractionSystemOnlyForTheMatrixText:
             (["solve", "--format", "json"], 0),
             (["det", "--format", "json"], 0),
             (["solve", "--format", "text"], 1),
+            (["verify", "--format", "json"], 0),
+            (["verify", "--format", "csv"], 0),
+            (["verify", "--format", "text"], 0),
         ],
-        ids=["solve-csv", "solve-json", "det-json", "solve-text"],
+        ids=["solve-csv", "solve-json", "det-json", "solve-text", "verify-json", "verify-csv",
+             "verify-text"],
     )
     def test_build_system_calls(self, capsys, monkeypatch, argv, builds):
         calls = self.count_builds(monkeypatch)
-        code, _ = run_cli(capsys, *argv, "--a=-109/107", "--b=-113/101", "--n", "12")
+        order = "--n-max" if argv[0] == "verify" else "--n"
+        code, _ = run_cli(capsys, *argv, "--a=-109/107", "--b=-113/101", order, "12")
         assert code == EXIT_OK
         assert len(calls) == builds
 

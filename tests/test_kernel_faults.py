@@ -317,11 +317,11 @@ def scale_power_short(monkeypatch):
 # solve, of det and of verify's Cramer gate.  A scale left out of _clear_rows
 # reaches det through det_vandermonde_general; solve_exact never reads the
 # product of scales, and the other commands do not clear rows of rationals.
-# _integer_rows from nodes feeds solve_exact in solve and det, and det_bareiss
-# in det; verify's Cramer gate clears build_system's rows instead, so it sees
-# neither of its mutants.  A right-hand side one power of B short divides the
-# solution by B, so solve and det both fail; only the determinant reads the
-# product of scales, so only det sees it one power of D short.
+# _integer_rows from nodes feeds solve_exact in solve, in det and in verify's
+# Cramer gate, and det_bareiss in det.  A right-hand side one power of B short
+# divides the solution by B, so all three fail; solve_exact never reads the
+# product of scales, and only the determinant does, so only det sees it one
+# power of D short.
 FAULT_TABLE = [
     (offset_moved, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_OK, "stirling": EXIT_OK}),
     (entry_negated, {"verify": EXIT_FAILURE, "solve": EXIT_OK, "det": EXIT_OK,
@@ -350,7 +350,7 @@ FAULT_TABLE = [
                       "stirling": EXIT_OK}),
     (last_scale_dropped, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
                           "stirling": EXIT_OK}),
-    (rhs_power_short, {"verify": EXIT_OK, "solve": EXIT_FAILURE, "det": EXIT_FAILURE,
+    (rhs_power_short, {"verify": EXIT_FAILURE, "solve": EXIT_FAILURE, "det": EXIT_FAILURE,
                        "stirling": EXIT_OK}),
     (scale_power_short, {"verify": EXIT_OK, "solve": EXIT_OK, "det": EXIT_FAILURE,
                          "stirling": EXIT_OK}),
