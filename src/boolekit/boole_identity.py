@@ -19,16 +19,16 @@ independent routes so that a bug in one route cannot silently confirm itself:
 The verify_* sweeps return in-memory reports of flat CaseResult records, one
 per checked case; serialization is the cli module's concern.  stirling_grid
 gives the Stirling checks as int tuples, so a caller builds records
-(stirling_case) only for the points it shows.  cramer_gate gives
-verify_cramer's report with the generic solver working from the nodes, as
-solve and det do; verify_cramer, which solves build_system's Fraction
-system, stays as its rational-system reference.
+(stirling_case) only for the points it shows.  cramer_gate solves each pair
+from its nodes and checks the pair-free closed ratio once, at b = 1;
+verify_cramer, solving build_system's Fraction system, is its reference.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -307,50 +307,50 @@ def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
 def verify_cramer(a: Fraction, b: Fraction, n: int) -> VerificationReport:
     """Check all n+1 solution components of the power-sum system three ways.
 
-    The rational-system reference of cramer_gate: the same report, with the
-    generic solver handed build_system's Fraction system, whose rows
-    solve_exact clears back to integers, in place of the nodes themselves.
-    For each k the generic solver's solution (recorded as lhs), the
-    signed binomial (-1)^(n-k) * C(n,k) (recorded as rhs), and the ratio of
-    closed-form determinants must coincide; the m field of each case carries
-    the component index k.  The ratio is checked without dividing: the
-    closed numerator must equal the closed determinant times the signed
-    binomial, which is the same test since that determinant is nonzero
-    whenever the system is solved.  The generic solver is solve_exact: a p-adic
-    solution certified by an exact integer check, with fraction-free
-    elimination as the decider of singularity, and no closed form or
-    Vandermonde structure.  Raises ValueError for n < 0, and for b = 0 with
-    n >= 1, where the nodes coincide, solve_exact's SingularMatrixError; at
-    n = 0 the system is [1] x = [1].
+    cramer_gate's report for the one pair (a, b), with solve_exact handed
+    build_system's Fraction system in place of the nodes: its rational-system
+    reference.  Component k's record has the solver's value as lhs, k as m and
+    the signed binomial (-1)^(n-k) * C(n,k) as rhs; it passes when they and
+    _closed_ratios' flag agree.  solve_exact is generic: a p-adic solution
+    certified by an exact integer check, with elimination deciding singularity.
+    Raises ValueError for n < 0, and SingularMatrixError for b = 0 with n >= 1
+    (at n = 0 the system is [1] x = [1]).
     """
     nodes = ArithmeticNodes(a, b, n)
-    return _cramer_report(nodes, solve_exact(build_system(nodes)))
+    return _cramer_report(nodes, solve_exact(build_system(nodes)), _closed_ratios(n))
 
 
-def cramer_gate(a: Fraction, b: Fraction, n: int) -> VerificationReport:
-    """verify_cramer's report, with solve_exact solving from the nodes.
+def cramer_gate(pairs: Iterable[tuple[Fraction, Fraction]], n: int) -> list[VerificationReport]:
+    """verify_cramer's report for each pair (a, b), with solve_exact solving from the nodes.
 
-    solve_exact takes the integer rows of the scaled nodes, as solve and det
-    do, so no Fraction system is built or cleared; the closed-form checks
-    and the records are verify_cramer's own.  Raises as verify_cramer does.
+    The solver takes the scaled nodes' integer rows, as in solve and det.  The
+    closed ratios hold for every pair alike, so they are checked once, if
+    there is any pair.  Raises as verify_cramer does for a pair.
     """
-    nodes = ArithmeticNodes(a, b, n)
-    return _cramer_report(nodes, solve_exact(nodes))
+    nodes = [ArithmeticNodes(a, b, n) for a, b in pairs]
+    solutions = [solve_exact(each) for each in nodes]
+    ratios = _closed_ratios(n) if nodes else []
+    return [_cramer_report(each, solved, ratios) for each, solved in zip(nodes, solutions)]
 
 
-def _cramer_report(nodes: ArithmeticNodes, solved: list[Fraction]) -> VerificationReport:
-    """One record per component of solved, checked against its signed binomial and closed ratio.
+def _closed_ratios(n: int) -> list[bool]:
+    """Per k, whether the closed numerator is the closed determinant times the signed binomial.
 
-    The solver and the signed binomials give canonical Fractions, so each
-    record is built by CaseResult._make.
+    Checked without dividing, at b = 1: both closed forms are integers times
+    b^(n(n+1)/2), so for any b != 0 it holds at b exactly when it holds at 1.
     """
+    closed = det_vandermonde_closed(n, _ONE)
+    return [det_cramer_numerator(n, k, _ONE) == closed * signed
+            for k, signed in enumerate(closed_form_solution(n))]
+
+
+def _cramer_report(
+    nodes: ArithmeticNodes, solved: list[Fraction], ratios: list[bool]
+) -> VerificationReport:
+    """Records (by _make) of solved against the signed binomials, with ratios[k] in passed."""
     n, a, b = nodes.n, nodes.a, nodes.b
-    signed_binomials = closed_form_solution(n)
-    denominator = det_vandermonde_closed(n, b)
     results = []
-    for k, signed in enumerate(signed_binomials):
-        numerator = det_cramer_numerator(n, k, b)
-        expected = Fraction(signed)
-        passed = solved[k] == expected and numerator == denominator * signed
+    for k, expected in enumerate(map(Fraction, closed_form_solution(n))):
+        passed = solved[k] == expected and ratios[k]
         results.append(CaseResult._make((n, k, a, b, solved[k], expected, passed)))
     return VerificationReport(tuple(results))

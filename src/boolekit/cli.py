@@ -323,16 +323,16 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
 
     Cramer component checks (per pair with nonzero b, at order n_max) and the
     Stirling grid run as gates: when they pass they only add summary notes,
-    when they fail their failing cases join the report and force exit 1.  The
-    Cramer gate is cramer_gate, which solves from the nodes as solve and det
-    do.  The Stirling gate reads stirling_grid's int points and builds a
-    record only for a point that failed.
+    when they fail their failing cases join the report and force exit 1.
+    cramer_gate takes every such pair at once: it solves each from the nodes
+    and checks the closed ratio once, at b = 1.  The Stirling gate builds a
+    record only for a stirling_grid point that failed.
     """
     pairs = [(args.a, args.b)] + seeded_parameter_pairs(args.seed, args.trials)
     cases: list[CaseResult] = []
     for a, b in pairs:
         cases.extend(verify_generalized_boole(a, b, args.n_max).results)
-    cramer = [cramer_gate(a, b, args.n_max) for a, b in pairs if b != 0]
+    cramer = cramer_gate([(a, b) for a, b in pairs if b != 0], args.n_max)
     cases.extend(r for report in cramer for r in report.results if not r.passed)
     stirling_failed = [stirling_case(point) for point in stirling_grid(args.m_max, args.n_max)
                        if not point[5]]

@@ -30,6 +30,7 @@ from boolekit.vandermonde import (
     SingularMatrixError,
     build_system,
     det_cramer_numerator,
+    det_vandermonde_closed,
     solve_exact,
 )
 
@@ -550,14 +551,36 @@ class TestCramerGate:
     def test_gate_is_the_rational_system_reference(self, a, b, n):
         if b == 0 and n >= 1:
             with pytest.raises(SingularMatrixError) as gate:
-                cramer_gate(a, b, n)
+                cramer_gate([(a, b)], n)
             with pytest.raises(SingularMatrixError) as reference:
                 verify_cramer(a, b, n)
             assert str(gate.value) == str(reference.value)
         else:
-            report = cramer_gate(a, b, n)
-            assert report == verify_cramer(a, b, n)
-            assert report.ok
+            reports = cramer_gate([(a, b)], n)
+            assert reports == [verify_cramer(a, b, n)]
+            assert reports[0].ok
+
+    @given(pairs=st.lists(st.tuples(small_rationals, nonzero_rationals), min_size=1, max_size=4),
+           n=st.integers(min_value=0, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_each_pair_gets_its_reference_report(self, pairs, n):
+        assert cramer_gate(pairs, n) == [verify_cramer(a, b, n) for a, b in pairs]
+
+    @given(b=nonzero_rationals, n=st.integers(min_value=0, max_value=12))
+    @example(b=Fraction(-1, 2), n=12)
+    @settings(max_examples=60, deadline=None)
+    def test_the_closed_ratio_at_b_is_the_ratio_at_one(self, b, n):
+        def ratios(numerator, step):
+            closed = det_vandermonde_closed(n, step)
+            return [numerator(n, k, step) == closed * signed
+                    for k, signed in enumerate(closed_form_solution(n))]
+
+        def doubled(n, k, step):
+            return det_cramer_numerator(n, k, step) * (2 if k == 1 else 1)
+
+        assert (ratios(det_cramer_numerator, b) == ratios(det_cramer_numerator, Fraction(1))
+                == bi._closed_ratios(n) == [True] * (n + 1))
+        assert ratios(doubled, b) == ratios(doubled, Fraction(1)) == [k != 1 for k in range(n + 1)]
 
 
 @pytest.mark.parametrize(
@@ -602,6 +625,12 @@ def _difference_row_three_moved(monkeypatch):
     monkeypatch.setattr(bi, "difference_rows", moved)
 
 
+def _one_pair_gate(a, b, n):
+    """cramer_gate's one report for the one pair (a, b)."""
+    (report,) = cramer_gate([(a, b)], n)
+    return report
+
+
 def _solution_shifted(monkeypatch):
     genuine = bi.solve_exact
     monkeypatch.setattr(bi, "solve_exact", lambda system: [x + 1 for x in genuine(system)])
@@ -625,9 +654,9 @@ SWEEPS = [
     pytest.param(verify_cramer, (1, -2, 4), None, 0, id="cramer-int-nodes"),
     pytest.param(verify_cramer, (Fraction(1, 3), Fraction(2, 5), 6), _solution_shifted, 7,
                  id="cramer-solve-exact"),
-    pytest.param(cramer_gate, (Fraction(1, 3), Fraction(2, 5), 6), None, 0, id="cramer-gate"),
-    pytest.param(cramer_gate, (1, -2, 4), None, 0, id="cramer-gate-int-nodes"),
-    pytest.param(cramer_gate, (Fraction(1, 3), Fraction(2, 5), 6), _solution_shifted, 7,
+    pytest.param(_one_pair_gate, (Fraction(1, 3), Fraction(2, 5), 6), None, 0, id="cramer-gate"),
+    pytest.param(_one_pair_gate, (1, -2, 4), None, 0, id="cramer-gate-int-nodes"),
+    pytest.param(_one_pair_gate, (Fraction(1, 3), Fraction(2, 5), 6), _solution_shifted, 7,
                  id="cramer-gate-solve-exact"),
 ]
 

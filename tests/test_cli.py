@@ -226,6 +226,48 @@ class TestVerifyCommand:
         assert all(line.endswith(" ok") for line in cases[:identity_cases])
         assert all(line.endswith(" FAIL") for line in cases[identity_cases:])
 
+    @staticmethod
+    def count_closed_forms(monkeypatch):
+        """Count the calls of the closed forms the Cramer gate looks up in boole_identity."""
+        calls = {"det_cramer_numerator": 0, "det_vandermonde_closed": 0}
+
+        def counting(name, genuine):
+            def counted(*args):
+                calls[name] += 1
+                return genuine(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(bi, name, counting(name, getattr(bi, name)))
+        return calls
+
+    @pytest.mark.parametrize("argv, numerators, determinants", [
+        (["--n-max", "5", "--trials", "4", "--seed", "1"], 6, 1),
+        (["--b", "0", "--n-max", "5"], 0, 0),
+    ], ids=["five-pairs", "zero-step"])
+    def test_closed_ratios_are_checked_once_per_order(
+        self, capsys, monkeypatch, argv, numerators, determinants
+    ):
+        calls = self.count_closed_forms(monkeypatch)
+        code, _ = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_OK
+        assert calls == {"det_cramer_numerator": numerators, "det_vandermonde_closed": determinants}
+
+    def test_a_wrong_closed_numerator_fails_every_pair(self, capsys, monkeypatch):
+        genuine = bi.det_cramer_numerator
+        monkeypatch.setattr(bi, "det_cramer_numerator",
+                            lambda n, k, b: genuine(n, k, b) * (2 if k == 1 else 1))
+        code, out = run_cli(capsys, "verify", "--n-max", "4", "--m-max", "4", "--trials", "4",
+                            "--seed", "4", "--format", "json")
+        assert code == EXIT_FAILURE
+        steps = [b for _, b in [(0, Fraction(1))] + cli.seeded_parameter_pairs(4, 4) if b != 0]
+        assert len(steps) == 4
+        failing = [case for case in json.loads(out)["cases"] if not case["pass"]]
+        assert [(c["n"], c["m"], c["b"]) for c in failing] == [
+            (4, 1, f"{b.numerator}/{b.denominator}") for b in steps
+        ]
+        assert all(c["lhs"] == c["rhs"] == "-4/1" for c in failing)
+
     def test_corrupted_expectation_fails_run(self, capsys, monkeypatch):
         genuine = bi.expected_value
 
