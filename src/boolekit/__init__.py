@@ -23,7 +23,6 @@ from .boole_identity import (
     stirling_rows,
     verify_cramer,
     verify_generalized_boole,
-    verify_stirling,
 )
 from .rational_core import (
     binomial,
@@ -80,7 +79,6 @@ __all__ = [
     "generalized_sums",
     "expected_value",
     "verify_generalized_boole",
-    "verify_stirling",
     "verify_cramer",
     "cramer_gate",
     "__version__",

@@ -16,12 +16,13 @@ independent routes so that a bug in one route cannot silently confirm itself:
   solver and the closed-form determinant ratios must reproduce every
   component.
 
-The verify_* sweeps return in-memory reports of flat CaseResult records, one
-per checked case; serialization is the cli module's concern.  stirling_grid
-gives the Stirling checks as int tuples, so a caller builds records
-(stirling_case) only for the points it shows.  cramer_gate solves each pair
-from its nodes and checks the pair-free closed ratio once, at b = 1;
-verify_cramer, solving build_system's Fraction system, is its reference.
+The sweeps verify_generalized_boole and verify_cramer return in-memory
+reports of flat CaseResult records, one per checked case; serialization is
+the cli module's concern.  stirling_grid gives the Stirling checks as int
+tuples, so a caller builds records (stirling_case) only for the points it
+shows.  cramer_gate solves each pair from its nodes and checks the pair-free
+closed ratio once, at b = 1; verify_cramer, solving build_system's Fraction
+system, is its reference.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class CaseResult(namedtuple("CaseResult", "n m a b lhs rhs passed")):
     For generalized-sum cases m <= n holds (the closed form is only stated
     there); Stirling-relation cases use the full grid, and Cramer component
     checks carry the component index k in m.  ``passed`` is not always just
-    ``lhs == rhs``: sweeps that consult a third route (the difference table
-    in the Stirling sweep, the Cramer ratio in the component sweep) fold that
+    ``lhs == rhs``: checks that consult a third route (the difference table
+    in stirling_grid, the Cramer ratio in the component sweep) fold that
     route's agreement into ``passed`` as well.
     """
 
@@ -265,7 +266,9 @@ def stirling_grid(m_max: int, n_max: int) -> list[tuple[int, int, int, int, int,
 
     Three separate int tables give every value: boole_sums, stirling_rows
     (scaled by n! once per n) and difference_rows; passed is the three-way
-    agreement sum == n! * S(m,n) == difference at every point.  A table of
+    agreement sum == n! * S(m,n) == difference at every point.  Where the sum
+    equals n! * S(m,n), the scaled slot holds the sum's own int object, so a
+    writer that renders each object once renders the value once.  A table of
     another shape than the grid raises ValueError.
     """
     partitions = zip(*stirling_rows(m_max, n_max), strict=True)
@@ -276,8 +279,10 @@ def stirling_grid(m_max: int, n_max: int) -> list[tuple[int, int, int, int, int,
         zip(boole_sums(n_max, m_max), partitions, differences, strict=True)
     ):
         n_factorial = factorial(n)
-        scaled = [n_factorial * s for s in column]
-        agree = map(operator.and_, map(operator.eq, sums, scaled), map(operator.eq, sums, steps))
+        scaled = [total if total == product else product
+                  for total, product in zip(sums, [n_factorial * s for s in column], strict=True)]
+        # Each sum was compared with its product once: it is its scaled slot exactly when equal.
+        agree = map(operator.and_, map(operator.is_, sums, scaled), map(operator.eq, sums, steps))
         grid.extend(zip(ms, repeat(n, m_max + 1), column, scaled, sums, agree, strict=True))
     return grid
 
@@ -291,17 +296,6 @@ def stirling_case(point: tuple[int, int, int, int, int, bool]) -> CaseResult:
     m, n, _, scaled, direct, passed = point
     lhs = Fraction(direct) if direct else _ZERO
     return CaseResult._make((n, m, _ZERO, _ONE, lhs, lhs if passed else Fraction(scaled), passed))
-
-
-def verify_stirling(m_max: int, n_max: int) -> VerificationReport:
-    """Check boole_sum(n,m) = n! * S(m,n) over the full (m, n) grid, ordered by n, then m.
-
-    A case passes only if the forward-difference table produces the same
-    value as well, so each grid point is a three-way agreement between
-    direct summation, the Stirling recurrence, and repeated differencing.
-    The report holds one stirling_case record per stirling_grid point.
-    """
-    return VerificationReport(tuple(map(stirling_case, stirling_grid(m_max, n_max))))
 
 
 def verify_cramer(a: Fraction, b: Fraction, n: int) -> VerificationReport:

@@ -86,15 +86,6 @@ class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
         entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
         return tuple.__new__(cls, (rows, cols, entries))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction]]) -> "ExactMatrix":
-        materialised = [list(row) for row in rows]
-        n_cols = len(materialised[0]) if materialised else 0
-        if any(len(row) != n_cols for row in materialised):
-            raise ValueError("rows must all have the same length")
-        flat = tuple(entry for row in materialised for entry in row)
-        return cls(len(materialised), n_cols, flat)
-
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 

@@ -18,11 +18,11 @@ from boolekit.boole_identity import (
     generalized_sum,
     generalized_sums,
     stirling2,
+    stirling_case,
     stirling_grid,
     stirling_rows,
     verify_cramer,
     verify_generalized_boole,
-    verify_stirling,
 )
 from boolekit.rational_core import factorial
 from boolekit.vandermonde import (
@@ -458,31 +458,29 @@ class TestVerifyGeneralizedBoole:
         assert first == second
 
 
-class TestVerifyStirling:
+class TestStirlingCase:
+    """stirling_case over stirling_grid: the records verify builds for failing points."""
+
     def test_full_grid(self):
-        report = verify_stirling(12, 12)
-        assert report.total == 169
-        assert report.failures == 0
+        grid = stirling_grid(12, 12)
+        assert len(grid) == 169
+        assert all(point[5] for point in grid)
 
     def test_single_cell(self):
-        report = verify_stirling(0, 0)
-        assert report.total == 1
-        assert report.results[0].lhs == 1
-        assert report.results[0].rhs == 1
+        (point,) = stirling_grid(0, 0)
+        assert point == (0, 0, 1, 1, 1, True)
+        record = stirling_case(point)
+        assert (record.lhs, record.rhs) == (1, 1)
 
     def test_known_interior_case(self):
-        report = verify_stirling(6, 4)
-        matching = [r for r in report.results if (r.n, r.m) == (4, 6)]
-        assert len(matching) == 1
-        assert matching[0].lhs == 1560
-        assert matching[0].rhs == 24 * 65
-        assert matching[0].passed
-
+        matching = [point for point in stirling_grid(6, 4) if point[:2] == (6, 4)]
+        assert matching == [(6, 4, 65, 1560, 1560, True)]
+        assert stirling_case(matching[0]) == CaseResult(4, 6, 0, 1, 1560, 24 * 65, True)
 
     @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
     @settings(deadline=None, max_examples=30)
     def test_records_hold_fractions_at_unit_nodes(self, m_max, n_max):
-        results = verify_stirling(m_max, n_max).results
+        results = [stirling_case(point) for point in stirling_grid(m_max, n_max)]
         assert [(r.n, r.m) for r in results] == [
             (n, m) for n in range(n_max + 1) for m in range(m_max + 1)
         ]
@@ -498,6 +496,21 @@ class TestStirlingGrid:
         assert [(m, n) for m, n, *_ in grid] == [(m, n) for n in range(3) for m in range(4)]
         assert grid[-1] == (3, 2, 3, 6, 6, True)
         assert all(type(point) is tuple for point in grid)
+
+    def test_agreeing_scaled_value_is_the_sum_itself(self):
+        # A writer renders each distinct object once, so an agreeing value is rendered once.
+        grid = stirling_grid(6, 4)
+        assert all(point[5] for point in grid)
+        assert all(scaled is direct for _, _, _, scaled, direct, _ in grid)
+
+    def test_disagreeing_scaled_value_is_its_own(self, monkeypatch):
+        genuine = stirling_rows(3, 4)[3]
+        _stirling_row_three_moved(monkeypatch)
+        failed = [point for point in stirling_grid(6, 4) if not point[5]]
+        assert [(m, n) for m, n, *_ in failed] == [(3, n) for n in range(5)]
+        for _, n, _, scaled, direct, _ in failed:
+            assert scaled == factorial(n) * (genuine[n] + 1)
+            assert direct == factorial(n) * genuine[n]
 
     @pytest.mark.parametrize("route", ["boole_sums", "stirling_rows", "difference_rows"])
     @pytest.mark.parametrize("cut", [
@@ -625,6 +638,11 @@ def _difference_row_three_moved(monkeypatch):
     monkeypatch.setattr(bi, "difference_rows", moved)
 
 
+def _stirling_report(m_max, n_max):
+    """The report of stirling_case's record for every stirling_grid point."""
+    return VerificationReport(tuple(map(stirling_case, stirling_grid(m_max, n_max))))
+
+
 def _one_pair_gate(a, b, n):
     """cramer_gate's one report for the one pair (a, b)."""
     (report,) = cramer_gate([(a, b)], n)
@@ -645,10 +663,10 @@ SWEEPS = [
     pytest.param(verify_generalized_boole, (Fraction(1, 3), Fraction(-2, 5), 6),
                  _expected_value_plus_one, 28, id="generalized-expected-value"),
     pytest.param(verify_generalized_boole, (1, -2, 4), None, 0, id="generalized-int-nodes"),
-    pytest.param(verify_stirling, (7, 5), None, 0, id="stirling"),
-    pytest.param(verify_stirling, (7, 5), _stirling_row_three_moved, 6,
+    pytest.param(_stirling_report, (7, 5), None, 0, id="stirling"),
+    pytest.param(_stirling_report, (7, 5), _stirling_row_three_moved, 6,
                  id="stirling-stirling-rows"),
-    pytest.param(verify_stirling, (7, 5), _difference_row_three_moved, 6,
+    pytest.param(_stirling_report, (7, 5), _difference_row_three_moved, 6,
                  id="stirling-difference-rows"),
     pytest.param(verify_cramer, (Fraction(1, 3), Fraction(2, 5), 6), None, 0, id="cramer"),
     pytest.param(verify_cramer, (1, -2, 4), None, 0, id="cramer-int-nodes"),
@@ -680,7 +698,7 @@ class TestSweepRecords:
     def test_failing_stirling_rhs_is_the_scaled_partition_number(self, monkeypatch):
         partitions = stirling_rows(3, 5)[3]
         _stirling_row_three_moved(monkeypatch)
-        failed = [r for r in verify_stirling(7, 5).results if not r.passed]
+        failed = [r for r in _stirling_report(7, 5).results if not r.passed]
         assert [(r.n, r.m) for r in failed] == [(n, 3) for n in range(6)]
         for r in failed:
             assert r.lhs == boole_sum(r.n, 3)

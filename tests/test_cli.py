@@ -664,7 +664,6 @@ class TestStirlingCommand:
         class Refused:
             __new__ = _make = refuse
 
-        monkeypatch.setattr(bi, "verify_stirling", refuse)
         monkeypatch.setattr(cli, "stirling_case", refuse)
         assert run_cli(capsys, "verify", "--n-max", "5", "--m-max", "7")[0] == EXIT_OK
         monkeypatch.setattr(bi, "CaseResult", Refused)
@@ -710,8 +709,26 @@ def _last(size):
     return size - 1
 
 
+def _failing_stirling_cases(m_max, n_max):
+    """(n, m, 0, 1, sum, n! * S) wherever sum == n! * S(m,n) == difference fails, by n, then m.
+
+    Read cell by cell from bi's three tables, so stirling_grid's zips and
+    transposes are not part of the expectation.
+    """
+    sums = bi.boole_sums(n_max, m_max)
+    partitions = bi.stirling_rows(m_max, n_max)
+    differences = bi.difference_rows(m_max, n_max)
+    failed = []
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            direct, scaled = sums[n][m], factorial(n) * partitions[m][n]
+            if not direct == scaled == differences[m][n]:
+                failed.append((n, m, 0, 1, direct, scaled, False))
+    return failed
+
+
 class TestStirlingGate:
-    """verify's Stirling failures are verify_stirling's failing records, case for case."""
+    """verify's Stirling failures are the faulted tables' failing cells, case for case."""
 
     @pytest.mark.parametrize("m_max, n_max", [(0, 0), (0, 4), (5, 0), (3, 6), (7, 5), (9, 2)])
     @pytest.mark.parametrize("faults", [
@@ -726,7 +743,7 @@ class TestStirlingGate:
     def test_gate_failures_are_the_sweep_failures(self, monkeypatch, m_max, n_max, faults):
         for route, index in faults:
             monkeypatch.setattr(bi, route, _moved(route, index))
-        expected = [r for r in bi.verify_stirling(m_max, n_max).results if not r.passed]
+        expected = _failing_stirling_cases(m_max, n_max)
         assert expected
         code, document = document_of(["verify", "--a", "1/3", "--b", "2/5", "--n-max",
                                       str(n_max), "--m-max", str(m_max)], "json")
@@ -736,7 +753,7 @@ class TestStirlingGate:
              case["pass"])
             for case in json.loads(document)["cases"] if not case["pass"]
         ]
-        assert failed == [tuple(r) for r in expected]
+        assert failed == expected
 
 
 class TestBenchCommand:
@@ -1077,6 +1094,7 @@ class TestUsageErrors:
             ["unknown-command"],
             [],
             ["det", "--b", "1" * 5000, "--n", "1"],
+            ["verify", "--n-max", "1" * 5000],
         ],
     )
     def test_exit_code_two(self, argv, capsys):

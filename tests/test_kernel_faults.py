@@ -451,7 +451,7 @@ def test_unreduced_heads_raise_where_a_pivot_vanishes_modulo_the_prime(monkeypat
     would hide such a kernel fault behind a slower, correct answer.
     """
     prime = vandermonde._PRIME
-    matrix = ExactMatrix.from_rows([[1, 1, 0], [1, 1 + prime, 0], [0, 0, 1]])
+    matrix = ExactMatrix(3, 3, (1, 1, 0, 1, 1 + prime, 0, 0, 0, 1))
     system = LinearSystem(matrix, tuple(sum(matrix.row(i)) for i in range(3)))
     assert solve_exact(system) == [1, 1, 1]
     heads_unreduced(monkeypatch)
